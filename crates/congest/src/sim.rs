@@ -765,8 +765,28 @@ impl<'g> Simulator<'g> {
         A: NodeAlgorithm,
         F: FnMut(&NodeInfo) -> A,
     {
+        self.run_observed(init, max_rounds, &mut NullTelemetry)
+    }
+
+    /// [`run`](Simulator::run) with a [`Telemetry`] sink observing every
+    /// round — the untraced counterpart of
+    /// [`run_traced_observed`](Simulator::run_traced_observed), for
+    /// observers that fold what they need per delivery instead of
+    /// keeping every message. The states and report are bit-for-bit
+    /// those of the unobserved run.
+    pub fn run_observed<A, F, T>(
+        &self,
+        init: F,
+        max_rounds: usize,
+        telemetry: &mut T,
+    ) -> (Vec<A>, RunReport)
+    where
+        A: NodeAlgorithm,
+        F: FnMut(&NodeInfo) -> A,
+        T: Telemetry,
+    {
         let (nodes, report, _) = self
-            .run_core(init, max_rounds, false, None, true, &mut NullTelemetry)
+            .run_core(init, max_rounds, false, None, true, telemetry)
             .unwrap_or_else(|_| unreachable!("strict fault-free runs cannot fail"));
         (nodes, report)
     }
@@ -2255,6 +2275,17 @@ mod tests {
         assert_eq!(report.total_bits(), observed_report.bits_sent);
         assert_eq!(report.rounds.len(), observed_report.rounds);
         assert!(report.rounds.last().expect("ran rounds").quiescent);
+        // The untraced observed run sees the same events and ends alike.
+        let mut untraced_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 16);
+        let (untraced, untraced_report) = sim.run_observed(make, 10, &mut untraced_prof);
+        assert_eq!(untraced_report, plain_report);
+        assert_eq!(
+            untraced_prof.finish().to_jsonl(false),
+            report.to_jsonl(false)
+        );
+        for (a, b) in plain.iter().zip(&untraced) {
+            assert_eq!(a.heard, b.heard);
+        }
     }
 
     #[test]

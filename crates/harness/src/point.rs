@@ -29,6 +29,7 @@ use qdc_congest::{
     SimError, StreamSink, Telemetry, TelemetryReport, TrafficTrace,
 };
 use qdc_graph::{generate, Graph, GraphBuilder, NodeId, Subgraph};
+use qdc_simthm::campaign::run_point_sink_with;
 
 /// The Grover measurement stream of every quantum ex11 point comes from
 /// this fixed protocol seed, so records are reproducible grid-wide.
@@ -304,8 +305,13 @@ pub fn execute_point(
     index: usize,
     spec: &PointSpec,
 ) -> Result<(PointRecord, Option<TrafficTrace>), PointFailure> {
-    let (record, trace, _) =
-        execute_point_impl(index, spec, &TelemetryMode::Off, RunOptions::default())?;
+    let (record, trace, _) = execute_point_impl(
+        index,
+        spec,
+        &TelemetryMode::Off,
+        RunOptions::default(),
+        true,
+    )?;
     Ok((record, trace))
 }
 
@@ -320,7 +326,7 @@ pub fn execute_point_sharded(
     telemetry: &TelemetryMode,
     options: RunOptions,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(index, spec, telemetry, options)
+    execute_point_impl(index, spec, telemetry, options, true)
 }
 
 /// [`execute_point`] with a [`RoundProfiler`] observing the run.
@@ -338,35 +344,52 @@ pub fn execute_point_with_telemetry(
     index: usize,
     spec: &PointSpec,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(index, spec, &TelemetryMode::Exact, RunOptions::default())
+    execute_point_impl(
+        index,
+        spec,
+        &TelemetryMode::Exact,
+        RunOptions::default(),
+        true,
+    )
 }
 
-fn execute_point_impl(
+/// The shared body of the `execute_point*` entry points. `keep_trace`
+/// asks traced kinds for their [`TrafficTrace`]; the campaign runner
+/// passes `false` unless the campaign keeps or archives traces, and the
+/// trace slot is then `None`. The record is the same either way: the
+/// Theorem 3.5 audit is folded during the run, not replayed from the
+/// trace.
+pub(crate) fn execute_point_impl(
     index: usize,
     spec: &PointSpec,
     telemetry_mode: &TelemetryMode,
     options: RunOptions,
+    keep_trace: bool,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
     let start = std::time::Instant::now();
     let (kind, params, metrics, accept, extra, error, trace, telemetry) = match spec {
         PointSpec::SimThm(p) => {
             let (out, telemetry) = match telemetry_mode {
-                TelemetryMode::Off => (qdc_simthm::campaign::run_point_with(p, options), None),
+                TelemetryMode::Off => {
+                    let (out, _) =
+                        run_point_sink_with(p, options, keep_trace, |_, _, _| NullTelemetry);
+                    (out, None)
+                }
                 TelemetryMode::Exact => {
-                    let (out, t) = qdc_simthm::campaign::run_point_observed_with(p, options);
-                    (out, Some(t))
+                    let (out, profiler) =
+                        run_point_sink_with(p, options, keep_trace, |nodes, edges, classes| {
+                            RoundProfiler::new(nodes, edges, p.bandwidth).with_classes(classes)
+                        });
+                    (out, Some(profiler.finish()))
                 }
                 TelemetryMode::Stream(scfg) => {
                     let (stage, file) = StreamStage::begin(index, scfg)?;
-                    let (out, sink) = qdc_simthm::campaign::run_point_sink_with(
-                        p,
-                        options,
-                        |nodes, edges, classes| {
+                    let (out, sink) =
+                        run_point_sink_with(p, options, keep_trace, |nodes, edges, classes| {
                             StreamSink::new(file, nodes, edges, p.bandwidth, scfg.top_k)
                                 .with_classes(classes)
                                 .with_wall(scfg.with_wall)
-                        },
-                    );
+                        });
                     stage.commit(index, sink)?;
                     (out, None)
                 }
@@ -389,7 +412,7 @@ fn execute_point_impl(
                     ("per_round_budget", Json::Num(out.per_round_budget)),
                 ],
                 None,
-                Some(out.trace),
+                keep_trace.then_some(out.trace),
                 telemetry,
             )
         }

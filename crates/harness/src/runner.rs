@@ -53,7 +53,7 @@
 use crate::journal::{self, Journal, RecoveredEntry};
 use crate::json::Json;
 use crate::point::{
-    execute_point_sharded, failure_json, record_json, PointFailure, PointRecord, TelemetryMode,
+    execute_point_impl, failure_json, record_json, PointFailure, PointRecord, TelemetryMode,
 };
 use crate::spec::{CampaignError, CampaignSpec, PointSpec, CAMPAIGN_SCHEMA};
 use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
@@ -68,8 +68,12 @@ use std::time::Duration;
 pub struct RunOptions {
     /// Worker thread count (must be ≥ 1).
     pub threads: usize,
-    /// Whether to keep per-point traffic traces in the outcome (they
-    /// can be large; the CLI only asks for them when archiving).
+    /// Whether to keep per-point traffic traces in the outcome of
+    /// [`run_campaign`] (they can be large; the CLI only asks for them
+    /// when archiving). Traces are built only when a campaign keeps
+    /// them here or archives them ([`JournalConfig::trace_dir`]);
+    /// otherwise no point holds one, and the Theorem 3.5 audit in each
+    /// record is folded during the run either way.
     pub keep_traces: bool,
     /// How each point is observed: [`TelemetryMode::Off`] (the default
     /// — the null-sink path is the zero-overhead one),
@@ -483,9 +487,10 @@ fn guarded_attempt(
     point: &PointSpec,
     telemetry: &TelemetryMode,
     sim: qdc_congest::RunOptions,
+    keep_trace: bool,
 ) -> Result<Slot, PointFailure> {
     match catch_unwind(AssertUnwindSafe(|| {
-        execute_point_sharded(index, point, telemetry, sim)
+        execute_point_impl(index, point, telemetry, sim, keep_trace)
     })) {
         Ok(result) => result,
         Err(payload) => Err(PointFailure::from_panic(index, payload.as_ref())),
@@ -499,18 +504,19 @@ fn run_attempt(
     index: usize,
     point: &PointSpec,
     options: &RunOptions,
+    keep_trace: bool,
 ) -> Result<Slot, PointFailure> {
     let sim = qdc_congest::RunOptions {
         threads: options.sim_threads,
     };
     match options.point_deadline_ms {
-        None => guarded_attempt(index, point, &options.telemetry, sim),
+        None => guarded_attempt(index, point, &options.telemetry, sim, keep_trace),
         Some(deadline_ms) => {
             let (tx, rx) = mpsc::channel();
             let point = point.clone();
             let telemetry = options.telemetry.clone();
             std::thread::spawn(move || {
-                let _ = tx.send(guarded_attempt(index, &point, &telemetry, sim));
+                let _ = tx.send(guarded_attempt(index, &point, &telemetry, sim, keep_trace));
             });
             match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
                 Ok(result) => result,
@@ -522,10 +528,15 @@ fn run_attempt(
 
 /// The per-point supervisor: attempt, classify, maybe back off and
 /// retry, and stamp the final attempt count into the failure.
-fn supervised_execute(index: usize, point: &PointSpec, options: &RunOptions) -> PointOutcome {
+fn supervised_execute(
+    index: usize,
+    point: &PointSpec,
+    options: &RunOptions,
+    keep_trace: bool,
+) -> PointOutcome {
     let mut attempt = 1u32;
     loop {
-        match run_attempt(index, point, options) {
+        match run_attempt(index, point, options, keep_trace) {
             Ok(slot) => return PointOutcome::Done(Box::new(slot)),
             Err(mut failure) => {
                 failure.attempts = attempt;
@@ -555,11 +566,13 @@ struct ExecStatus {
 /// The shared execution engine: dispense indices to supervised workers,
 /// reorder completions, and hand each outcome to `commit` in strict
 /// index order starting at `start_at`. `commit` failing (an I/O error
-/// from the journal) cancels the run and surfaces the error.
+/// from the journal) cancels the run and surfaces the error. Points
+/// build traffic traces only when `keep_trace` says `commit` uses them.
 fn execute_grid<F>(
     points: &[PointSpec],
     start_at: usize,
     options: &RunOptions,
+    keep_trace: bool,
     cancel: &CancelToken,
     mut commit: F,
 ) -> std::io::Result<ExecStatus>
@@ -594,7 +607,7 @@ where
                         if options.throttle_ms > 0 {
                             std::thread::sleep(Duration::from_millis(options.throttle_ms));
                         }
-                        let out = supervised_execute(i, &points[i], options);
+                        let out = supervised_execute(i, &points[i], options, keep_trace);
                         if tx.send((i, out)).is_err() {
                             break;
                         }
@@ -636,7 +649,7 @@ where
         while !cancel.is_cancelled() && committed < total {
             let out = match buffer.remove(&committed) {
                 Some(out) => out,
-                None => supervised_execute(committed, &points[committed], options),
+                None => supervised_execute(committed, &points[committed], options, keep_trace),
             };
             commit(committed, out)?;
             committed += 1;
@@ -682,20 +695,25 @@ pub fn run_campaign(
     telemetry.resize_with(points.len(), || None);
 
     let cancel = CancelToken::new();
-    execute_grid(&points, 0, options, &cancel, |i, out| {
-        match out {
-            PointOutcome::Done(slot) => {
-                let (rec, trace, profile) = *slot;
-                if options.keep_traces {
+    execute_grid(
+        &points,
+        0,
+        options,
+        options.keep_traces,
+        &cancel,
+        |i, out| {
+            match out {
+                PointOutcome::Done(slot) => {
+                    let (rec, trace, profile) = *slot;
                     traces[i] = trace;
+                    telemetry[i] = profile;
+                    records.push(rec);
                 }
-                telemetry[i] = profile;
-                records.push(rec);
+                PointOutcome::Failed(f) => failures.push(f),
             }
-            PointOutcome::Failed(f) => failures.push(f),
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
     .expect("in-memory commit is infallible");
 
     let aggregate = Aggregate::fold_full(&records, &failures);
@@ -717,6 +735,7 @@ pub struct JournalConfig {
     /// The journal path — the campaign's JSONL output file.
     pub out_path: String,
     /// Archive each traced point as `<dir>/point_<i>.trace.jsonl`.
+    /// Points build traffic traces only when this is set.
     pub trace_dir: Option<String>,
     /// Archive each profiled point as `<dir>/point_<i>.telemetry.jsonl`.
     pub telemetry_dir: Option<String>,
@@ -853,7 +872,8 @@ pub fn run_campaign_journaled(
         std::fs::create_dir_all(dir)?;
     }
 
-    let status = execute_grid(&points, recovered, options, cancel, |i, out| {
+    let keep_trace = config.trace_dir.is_some();
+    let status = execute_grid(&points, recovered, options, keep_trace, cancel, |i, out| {
         match out {
             PointOutcome::Done(slot) => {
                 let (rec, trace, profile) = &*slot;
@@ -953,14 +973,73 @@ mod tests {
         }
         assert!(out.failures.is_empty());
         assert_eq!(out.traces.len(), out.records.len());
-        assert!(
-            out.traces.iter().all(Option::is_some),
-            "simthm runs are traced"
-        );
+        // Kept traces are the full traces a direct run produces.
+        for (point, trace) in spec.points().iter().zip(&out.traces) {
+            let PointSpec::SimThm(p) = point else {
+                unreachable!("simthm_smoke is a simthm grid")
+            };
+            let trace = trace.as_ref().expect("simthm runs are traced");
+            let direct = qdc_simthm::campaign::run_point(p).trace;
+            assert!(trace.rounds.iter().any(|r| !r.is_empty()));
+            assert_eq!(trace.rounds, direct.rounds);
+            assert_eq!(trace.dropped, direct.dropped);
+        }
         assert_eq!(out.aggregate.points, out.records.len() as u64);
         assert_eq!(out.aggregate.accepted, out.records.len() as u64);
         assert_eq!(out.aggregate.errors, 0);
         assert_eq!(out.aggregate.points_failed, 0);
+    }
+
+    /// Campaigns that neither keep nor archive traces build none, and
+    /// their records do not depend on it: over every builtin simthm grid
+    /// the untraced records equal `execute_point`'s traced ones, whose
+    /// audit fields equal the offline `audit_trace` replay of the trace.
+    #[test]
+    fn runner_untraced_records_match_traced_points_and_offline_audit() {
+        use crate::point::execute_point;
+        use qdc_simthm::network::SimulationNetwork;
+        use qdc_simthm::simulate::audit_trace;
+        let mut grids = 0;
+        for name in crate::spec::builtin_names() {
+            let spec = builtin(name).expect("builtin");
+            if !matches!(spec.grid, CampaignGrid::SimThm { .. }) {
+                continue;
+            }
+            grids += 1;
+            let untraced = run_campaign(&spec, &opts(2)).expect("runs");
+            assert!(untraced.traces.iter().all(Option::is_none));
+            for (i, point) in spec.points().iter().enumerate() {
+                let PointSpec::SimThm(p) = point else {
+                    unreachable!("{name} is a simthm grid")
+                };
+                let (rec, trace) = execute_point(i, point).expect("point runs");
+                assert_eq!(
+                    record_json(name, &untraced.records[i], false),
+                    record_json(name, &rec, false)
+                );
+                // The network the point realized (Γ bumped when Γ + k
+                // is odd).
+                let mut net = SimulationNetwork::build(p.gamma, p.l);
+                if net.track_count() % 2 == 1 {
+                    net = SimulationNetwork::build(p.gamma + 1, p.l);
+                }
+                let audit = audit_trace(&net, &trace.expect("traced"), p.bandwidth);
+                let extra = |key: &str| {
+                    rec.extra
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .and_then(|(_, v)| v.as_u64())
+                };
+                assert_eq!(extra("node_count"), Some(net.graph().node_count() as u64));
+                assert_eq!(extra("paid_bits"), Some(audit.total_paid()));
+                assert_eq!(extra("max_paid_per_round"), Some(audit.max_paid_per_round));
+                assert_eq!(extra("per_round_budget"), Some(audit.per_round_budget));
+                assert_eq!(rec.accept, Some(audit.within_budget));
+                assert_eq!(rec.metrics.rounds, audit.rounds as u64);
+                assert!(audit.within_horizon);
+            }
+        }
+        assert_eq!(grids, 3, "simthm_smoke, simthm_grid, telemetry_smoke");
     }
 
     #[test]
@@ -1188,6 +1267,39 @@ mod tests {
             backoff_ms(2, 0, 1),
             "seed moves the jitter"
         );
+    }
+
+    /// A journaled run archives full traces under `trace_dir` — the
+    /// only journaled case in which points build them.
+    #[test]
+    fn runner_trace_dir_archives_the_traces_of_direct_runs() {
+        let spec = builtin("telemetry_smoke").expect("builtin");
+        let dir = std::env::temp_dir().join(format!("qdc_runner_trace_dir_{}", std::process::id()));
+        let trace_dir = dir.join("traces").to_string_lossy().into_owned();
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        run_campaign_journaled(
+            &spec,
+            &opts(2),
+            &JournalConfig {
+                out_path: dir.join("journal.jsonl").to_string_lossy().into_owned(),
+                trace_dir: Some(trace_dir.clone()),
+                ..JournalConfig::default()
+            },
+            &CancelToken::new(),
+        )
+        .expect("campaign runs");
+        for (i, point) in spec.points().iter().enumerate() {
+            let PointSpec::SimThm(p) = point else {
+                unreachable!("telemetry_smoke is a simthm grid")
+            };
+            let archived = std::fs::read_to_string(format!("{trace_dir}/point_{i}.trace.jsonl"))
+                .expect("every point is archived");
+            assert_eq!(
+                archived,
+                qdc_simthm::campaign::run_point(p).trace.to_jsonl()
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,20 +5,23 @@
 //! [`SimThmPoint`] is plain `Send` data naming one grid cell; and
 //! [`run_point`] executes it: build `N(Γ, L)`, embed a
 //! Hamiltonian-matching subnetwork `M`, run the min-label component
-//! flood (the core of a Ham verifier) traced up to the Theorem 3.5
-//! horizon, and audit the Carol/David-paid traffic against the `6kB`
-//! budget. [`experiment`] wraps the same work as a `FnOnce() + Send`
-//! closure for harnesses that ship work to worker threads.
+//! flood (the core of a Ham verifier) up to the Theorem 3.5 horizon,
+//! and audit the Carol/David-paid traffic against the `6kB` budget. The
+//! audit is folded per delivery while the run executes; the per-round
+//! trace is only an archive, built when the caller keeps it.
+//! [`experiment`] wraps the same work as a `FnOnce() + Send` closure
+//! for harnesses that ship work to worker threads.
 //!
 //! Everything here is deterministic: a point's outcome is a pure
 //! function of `(gamma, l, bandwidth)`, which is what lets the harness
 //! promise bit-identical aggregates regardless of thread count.
 
 use crate::network::SimulationNetwork;
-use crate::simulate::audit_trace;
+use crate::simulate::{OnlineAudit, ThreePartyAudit};
 use qdc_congest::{
     CongestConfig, Inbox, Message, NodeAlgorithm, NodeClass, NodeInfo, NullTelemetry, Outbox,
-    RoundProfiler, RunMetrics, RunOptions, Simulator, Telemetry, TelemetryReport, TrafficTrace,
+    RoundProfiler, RunMetrics, RunOptions, RunReport, Simulator, Telemetry, TelemetryReport,
+    TrafficTrace,
 };
 use qdc_graph::generate;
 
@@ -40,7 +43,7 @@ pub struct SimThmPoint {
 /// What one simulation-theorem point produced.
 #[derive(Clone, Debug)]
 pub struct SimThmOutcome {
-    /// Traffic accounting of the traced run (capped at the horizon).
+    /// Traffic accounting of the run (capped at the horizon).
     pub metrics: RunMetrics,
     /// Nodes in the realized network (after Γ/L adjustment).
     pub node_count: u64,
@@ -58,7 +61,10 @@ pub struct SimThmOutcome {
     /// Theorem 3.5 claim; a campaign exists to observe this at scale).
     pub within_budget: bool,
     /// The per-round message trace, so the harness can archive the run
-    /// with [`TrafficTrace::to_jsonl`] and replay it offline.
+    /// with [`TrafficTrace::to_jsonl`] and replay it offline. Empty when
+    /// the run was not asked to keep it (`keep_trace = false` in
+    /// [`run_point_sink_with`]); the audit fields above never depend on
+    /// it.
     pub trace: TrafficTrace,
 }
 
@@ -106,7 +112,7 @@ impl NodeAlgorithm for ComponentFlood {
     }
 }
 
-/// Executes one grid point: network, embedding, traced run, audit.
+/// Executes one grid point: network, embedding, audited run, trace.
 ///
 /// The run is capped at the horizon `L/2 − 2` — Theorem 3.5 only speaks
 /// about runs within it, so `metrics.completed` is usually 0 and that is
@@ -126,7 +132,7 @@ pub fn run_point(point: &SimThmPoint) -> SimThmOutcome {
 /// result is byte-identical at every thread count.
 pub fn run_point_with(point: &SimThmPoint, options: RunOptions) -> SimThmOutcome {
     let net = build_network(point);
-    run_on(&net, point, options, &mut NullTelemetry)
+    run_on(&net, point, options, true, &mut NullTelemetry)
 }
 
 /// [`run_point`] with a [`RoundProfiler`] observing the run, classified
@@ -143,7 +149,7 @@ pub fn run_point_observed_with(
     point: &SimThmPoint,
     options: RunOptions,
 ) -> (SimThmOutcome, TelemetryReport) {
-    let (outcome, profiler) = run_point_sink_with(point, options, |nodes, edges, classes| {
+    let (outcome, profiler) = run_point_sink_with(point, options, true, |nodes, edges, classes| {
         RoundProfiler::new(nodes, edges, point.bandwidth).with_classes(classes)
     });
     (outcome, profiler.finish())
@@ -158,9 +164,15 @@ pub fn run_point_observed_with(
 /// installs a `qdc_congest::StreamSink` here for `--telemetry-stream`
 /// runs, and exact mode keeps installing [`RoundProfiler`]. Whatever
 /// the sink, observation never perturbs the outcome.
+///
+/// `keep_trace` decides whether [`SimThmOutcome::trace`] is built: the
+/// harness passes `false` unless the campaign keeps or archives traces,
+/// so a point's memory does not grow with the messages it delivers.
+/// Every other field of the outcome is the same either way.
 pub fn run_point_sink_with<T, F>(
     point: &SimThmPoint,
     options: RunOptions,
+    keep_trace: bool,
     install: F,
 ) -> (SimThmOutcome, T)
 where
@@ -173,7 +185,7 @@ where
         net.graph().edge_count(),
         highway_classes(&net),
     );
-    let outcome = run_on(&net, point, options, &mut sink);
+    let outcome = run_on(&net, point, options, keep_trace, &mut sink);
     (outcome, sink)
 }
 
@@ -210,27 +222,10 @@ fn run_on<T: Telemetry>(
     net: &SimulationNetwork,
     point: &SimThmPoint,
     options: RunOptions,
+    keep_trace: bool,
     telemetry: &mut T,
 ) -> SimThmOutcome {
-    let tracks = net.track_count();
-    let (carol, david) = generate::hamiltonian_matching_pair(tracks);
-    let m = net.embed_matchings(&carol, &david);
-    let width = qdc_algos::widths::id_width(net.graph().node_count());
-    let sim = Simulator::with_options(
-        net.graph(),
-        CongestConfig::quantum(point.bandwidth),
-        options,
-    );
-    let (_, report, trace) = sim.run_traced_observed(
-        |info| ComponentFlood {
-            label: info.id.0 as u64,
-            active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
-            width,
-        },
-        net.horizon(),
-        telemetry,
-    );
-    let audit = audit_trace(net, &trace, point.bandwidth);
+    let (report, audit, trace) = run_audited(net, point, options, keep_trace, telemetry);
     SimThmOutcome {
         metrics: report.metrics(),
         node_count: net.graph().node_count() as u64,
@@ -244,6 +239,41 @@ fn run_on<T: Telemetry>(
     }
 }
 
+/// Runs the component flood observed through an [`OnlineAudit`] wrapped
+/// around `telemetry`, tracing only when `keep_trace` asks for it (the
+/// trace is empty otherwise).
+fn run_audited<T: Telemetry>(
+    net: &SimulationNetwork,
+    point: &SimThmPoint,
+    options: RunOptions,
+    keep_trace: bool,
+    telemetry: &mut T,
+) -> (RunReport, ThreePartyAudit, TrafficTrace) {
+    let tracks = net.track_count();
+    let (carol, david) = generate::hamiltonian_matching_pair(tracks);
+    let m = net.embed_matchings(&carol, &david);
+    let width = qdc_algos::widths::id_width(net.graph().node_count());
+    let sim = Simulator::with_options(
+        net.graph(),
+        CongestConfig::quantum(point.bandwidth),
+        options,
+    );
+    let init = |info: &NodeInfo| ComponentFlood {
+        label: info.id.0 as u64,
+        active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
+        width,
+    };
+    let mut audited = OnlineAudit::new(net, point.bandwidth, telemetry);
+    let (report, trace) = if keep_trace {
+        let (_, report, trace) = sim.run_traced_observed(init, net.horizon(), &mut audited);
+        (report, trace)
+    } else {
+        let (_, report) = sim.run_observed(init, net.horizon(), &mut audited);
+        (report, TrafficTrace::default())
+    };
+    (report, audited.finish(), trace)
+}
+
 /// Packages a point as a `FnOnce` experiment closure that can be shipped
 /// to a worker thread — the shape the campaign harness shards.
 pub fn experiment(point: SimThmPoint) -> impl FnOnce() -> SimThmOutcome + Send + 'static {
@@ -253,6 +283,43 @@ pub fn experiment(point: SimThmPoint) -> impl FnOnce() -> SimThmOutcome + Send +
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::audit_trace;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The audit folded per delivery equals the offline replay of the
+        /// run's trace on every field, at 1 and N engine threads, and
+        /// whether or not the trace is kept. Random Γ of both parities
+        /// exercises the odd-track bump.
+        #[test]
+        fn simthm_online_audit_equals_offline_audit(
+            gamma in 1usize..=24,
+            l in 5usize..=65,
+            bandwidth in 12usize..=48,
+        ) {
+            let point = SimThmPoint { gamma, l, bandwidth };
+            let net = build_network(&point);
+            let mut first: Option<ThreePartyAudit> = None;
+            for threads in [1, 3] {
+                let options = RunOptions { threads };
+                let (report, online, trace) =
+                    run_audited(&net, &point, options, true, &mut NullTelemetry);
+                prop_assert_eq!(&online, &audit_trace(&net, &trace, bandwidth));
+                prop_assert_eq!(online.rounds, report.rounds);
+                let (untraced_report, untraced, empty) =
+                    run_audited(&net, &point, options, false, &mut NullTelemetry);
+                prop_assert_eq!(&untraced, &online);
+                prop_assert_eq!(untraced_report, report);
+                prop_assert!(empty.rounds.is_empty() && empty.dropped.is_empty());
+                if let Some(first) = &first {
+                    prop_assert_eq!(first, &online);
+                }
+                first = Some(online);
+            }
+        }
+    }
 
     #[test]
     fn simthm_point_is_deterministic_and_within_budget() {
@@ -297,6 +364,22 @@ mod tests {
         assert_eq!(plain.metrics, observed.metrics);
         assert_eq!(plain.paid_bits, observed.paid_bits);
         assert_eq!(plain.trace.rounds, observed.trace.rounds);
+        // Dropping the trace changes neither the audit nor what the
+        // sink sees.
+        let (untraced, profiler) =
+            run_point_sink_with(&p, RunOptions::default(), false, |nodes, edges, classes| {
+                RoundProfiler::new(nodes, edges, p.bandwidth).with_classes(classes)
+            });
+        assert_eq!(profiler.finish().to_jsonl(false), telemetry.to_jsonl(false));
+        assert!(untraced.trace.rounds.is_empty());
+        assert_eq!(
+            (
+                untraced.metrics,
+                untraced.paid_bits,
+                untraced.max_paid_per_round
+            ),
+            (plain.metrics, plain.paid_bits, plain.max_paid_per_round)
+        );
         // The profile reproduces the run's totals…
         assert_eq!(telemetry.total_messages(), observed.metrics.messages_sent);
         assert_eq!(telemetry.total_bits(), observed.metrics.bits_sent);

@@ -14,13 +14,20 @@
 //! [`qdc_congest::Simulator::run_traced`]), charging each delivered
 //! message to the party owning its sender, and checks the per-round paid
 //! traffic against the `6kB` budget the theorem uses.
+//!
+//! The campaign adapter does not keep a trace just to audit it: it folds
+//! the same accounting per delivery while the run executes (a private
+//! [`Telemetry`] adapter in this module), so a point's memory stays
+//! independent of how many messages it delivers. [`audit_trace`] is the
+//! offline verifier the online fold is tested against.
 
 use crate::network::{Party, SimulationNetwork};
-use qdc_congest::TrafficTrace;
+use qdc_congest::{Telemetry, TrafficTrace};
+use qdc_graph::{EdgeId, NodeId};
 
 /// The result of auditing one traced run against the Theorem 3.5 cost
 /// model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ThreePartyAudit {
     /// Rounds audited (the trace length).
     pub rounds: usize,
@@ -67,7 +74,6 @@ pub fn audit_trace(
     trace: &TrafficTrace,
     bandwidth: usize,
 ) -> ThreePartyAudit {
-    let budget = 6 * net.highway_count() as u64 * bandwidth as u64;
     let mut carol_bits = 0u64;
     let mut david_bits = 0u64;
     let mut max_paid = 0u64;
@@ -90,15 +96,130 @@ pub fn audit_trace(
         }
         max_paid = max_paid.max(paid);
     }
+    settle(
+        net,
+        bandwidth,
+        trace.rounds.len(),
+        carol_bits,
+        david_bits,
+        max_paid,
+    )
+}
+
+/// Assembles an audit from its folded totals, judging them against the
+/// `6kB` budget and the horizon.
+fn settle(
+    net: &SimulationNetwork,
+    bandwidth: usize,
+    rounds: usize,
+    carol_bits: u64,
+    david_bits: u64,
+    max_paid: u64,
+) -> ThreePartyAudit {
+    let budget = 6 * net.highway_count() as u64 * bandwidth as u64;
     ThreePartyAudit {
-        rounds: trace.rounds.len(),
+        rounds,
         carol_bits,
         david_bits,
         max_paid_per_round: max_paid,
         per_round_budget: budget,
         within_budget: max_paid <= budget,
         horizon: net.horizon(),
-        within_horizon: trace.rounds.len() <= net.horizon(),
+        within_horizon: rounds <= net.horizon(),
+    }
+}
+
+/// The [`audit_trace`] accounting folded per delivery during the run.
+///
+/// Wraps the caller's sink and forwards every event to it unchanged, so
+/// the sink's output is identical to an unwrapped run. Round `r` of the
+/// engine delivers what was sent at time `r − 1` (entry `r − 1` of a
+/// [`TrafficTrace`]), hence the sender's owner is taken at `r − 1` and the
+/// receiver's at `r`.
+pub(crate) struct OnlineAudit<'a, T> {
+    net: &'a SimulationNetwork,
+    sink: &'a mut T,
+    bandwidth: usize,
+    rounds: usize,
+    carol_bits: u64,
+    david_bits: u64,
+    round_paid: u64,
+    max_paid: u64,
+}
+
+impl<'a, T: Telemetry> OnlineAudit<'a, T> {
+    pub(crate) fn new(net: &'a SimulationNetwork, bandwidth: usize, sink: &'a mut T) -> Self {
+        OnlineAudit {
+            net,
+            sink,
+            bandwidth,
+            rounds: 0,
+            carol_bits: 0,
+            david_bits: 0,
+            round_paid: 0,
+            max_paid: 0,
+        }
+    }
+
+    /// The audit of every round observed so far.
+    pub(crate) fn finish(&self) -> ThreePartyAudit {
+        settle(
+            self.net,
+            self.bandwidth,
+            self.rounds,
+            self.carol_bits,
+            self.david_bits,
+            self.max_paid,
+        )
+    }
+}
+
+impl<T: Telemetry> Telemetry for OnlineAudit<'_, T> {
+    fn on_round_start(&mut self, round: usize) {
+        self.sink.on_round_start(round);
+    }
+
+    fn on_delivery(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId, bits: usize) {
+        let sender = self.net.owner(from, round - 1);
+        let receiver = self.net.owner(to, round);
+        match sender {
+            Party::Carol if receiver != Party::Carol => {
+                self.carol_bits += bits as u64;
+                self.round_paid += bits as u64;
+            }
+            Party::David if receiver != Party::David => {
+                self.david_bits += bits as u64;
+                self.round_paid += bits as u64;
+            }
+            _ => {}
+        }
+        self.sink.on_delivery(round, edge, from, to, bits);
+    }
+
+    fn on_chaos_drop(&mut self, round: usize, edge: EdgeId, from: NodeId, to: NodeId) {
+        self.sink.on_chaos_drop(round, edge, from, to);
+    }
+
+    fn on_chaos_corrupt(
+        &mut self,
+        round: usize,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
+        bits_lost: u64,
+    ) {
+        self.sink.on_chaos_corrupt(round, edge, from, to, bits_lost);
+    }
+
+    fn on_crash(&mut self, round: usize, node: NodeId) {
+        self.sink.on_crash(round, node);
+    }
+
+    fn on_round_end(&mut self, round: usize, quiescent: bool, live_slots: u64) {
+        self.rounds += 1;
+        self.max_paid = self.max_paid.max(self.round_paid);
+        self.round_paid = 0;
+        self.sink.on_round_end(round, quiescent, live_slots);
     }
 }
 

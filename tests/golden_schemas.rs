@@ -152,6 +152,7 @@ fn golden_stream_archive() -> (String, StreamAggregate) {
             bandwidth: 16,
         },
         qdc::congest::RunOptions::default(),
+        false,
         |nodes, edges, classes| {
             StreamSink::new(&mut buf, nodes, edges, 16, 8).with_classes(classes)
         },
