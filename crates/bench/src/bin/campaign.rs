@@ -509,6 +509,7 @@ fn main() {
         telemetry_dir: args.telemetry_dir.clone(),
         resume: args.resume,
         with_wall: !args.deterministic,
+        commits: None,
     };
     let cancel = CancelToken::new();
     signals::install(cancel.clone());

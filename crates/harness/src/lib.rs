@@ -54,8 +54,8 @@ pub use point::{
 };
 pub use runner::{
     journal_summary_json, run_campaign, run_campaign_journaled, summary_json, validate_summary,
-    Aggregate, CampaignOutcome, CampaignRunError, CancelToken, JournalConfig, JournalOutcome,
-    RunOptions,
+    Aggregate, CampaignOutcome, CampaignRunError, CancelToken, CommitWatch, JournalConfig,
+    JournalOutcome, RunOptions,
 };
 pub use spec::{
     builtin, builtin_names, validate_output_paths, CampaignError, CampaignGrid, CampaignSpec,

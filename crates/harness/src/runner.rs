@@ -60,7 +60,7 @@ use qdc_congest::{RunMetrics, TelemetryReport, TrafficTrace};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// How to run a campaign.
@@ -149,6 +149,49 @@ impl CancelToken {
     /// Whether shutdown has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::SeqCst)
+    }
+}
+
+/// A shared count of durable journal commits that other threads can
+/// block on: [`run_campaign_journaled`] bumps it once after each line
+/// it appends (record or failure) is fsync'd, so a reader tailing the
+/// journal wakes the moment new bytes are committed instead of polling.
+///
+/// Sample [`count`](CommitWatch::count) *before* reading the journal and
+/// pass it to [`wait_past`](CommitWatch::wait_past): a commit that lands
+/// between the read and the wait has already moved the count past the
+/// sample, so the wait returns at once and no wake-up is lost.
+#[derive(Clone, Debug, Default)]
+pub struct CommitWatch(Arc<(Mutex<u64>, Condvar)>);
+
+impl CommitWatch {
+    /// A fresh watch at count zero.
+    pub fn new() -> CommitWatch {
+        CommitWatch::default()
+    }
+
+    /// Records one commit and wakes every waiter.
+    pub fn bump(&self) {
+        let (count, changed) = &*self.0;
+        *count.lock().expect("commit watch lock") += 1;
+        changed.notify_all();
+    }
+
+    /// Commits recorded so far.
+    pub fn count(&self) -> u64 {
+        let (count, _) = &*self.0;
+        *count.lock().expect("commit watch lock")
+    }
+
+    /// Blocks until the count exceeds `seen` or `timeout` passes, and
+    /// returns the count then. Returns at once if it already does.
+    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
+        let (count, changed) = &*self.0;
+        let guard = count.lock().expect("commit watch lock");
+        let (guard, _) = changed
+            .wait_timeout_while(guard, timeout, |n| *n <= seen)
+            .expect("commit watch lock");
+        *guard
     }
 }
 
@@ -747,6 +790,9 @@ pub struct JournalConfig {
     /// Include the volatile wall-clock fields in records and telemetry
     /// archives. `false` is the byte-identical deterministic form.
     pub with_wall: bool,
+    /// Bumped once per journal line this run appends, after the line is
+    /// durable. Lines recovered on resume are not bumped.
+    pub commits: Option<CommitWatch>,
 }
 
 /// Why a journaled campaign run failed (beyond ordinary point failures,
@@ -896,6 +942,9 @@ pub fn run_campaign_journaled(
                 journal.append_line(&failure_json(&spec.name, &f))?;
                 aggregate.add_failure(u64::from(f.attempts));
             }
+        }
+        if let Some(commits) = &config.commits {
+            commits.bump();
         }
         Ok(())
     })?;
@@ -1217,6 +1266,90 @@ mod tests {
             Aggregate::fold_full(&out.records, &out.failures),
             out.aggregate
         );
+    }
+
+    /// A watched journaled run bumps once per line it commits, records
+    /// and failure records alike, and never for lines recovered on
+    /// resume.
+    #[test]
+    fn runner_commit_watch_counts_committed_lines_but_not_recovered_ones() {
+        // 2-bit gadgets fit their verifier messages in B = 24; 64-bit
+        // ones need wider fields and panic into failure records, so the
+        // journal alternates record, failure, record, failure.
+        let spec = CampaignSpec {
+            name: "mixed_grid".into(),
+            grid: CampaignGrid::Gadgets {
+                bit_sizes: vec![2, 64],
+                seeds: vec![1],
+                bandwidth: 24,
+            },
+        };
+        let dir =
+            std::env::temp_dir().join(format!("qdc_runner_commit_watch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let out_path = dir.join("journal.jsonl").to_string_lossy().into_owned();
+        let watch = CommitWatch::new();
+        let config = |resume| JournalConfig {
+            out_path: out_path.clone(),
+            resume,
+            commits: Some(watch.clone()),
+            ..JournalConfig::default()
+        };
+        let full = run_campaign_journaled(&spec, &opts(2), &config(false), &CancelToken::new())
+            .expect("run survives panicking points");
+        assert!(full.aggregate.ok > 0, "the grid commits records");
+        assert!(full.aggregate.points_failed > 0, "and failure records");
+        assert_eq!(full.executed, spec.points().len());
+        assert_eq!(watch.count(), full.executed as u64);
+
+        // Cut the journal after its first line and resume: only the
+        // re-executed tail bumps.
+        let journal = std::fs::read_to_string(&out_path).expect("journal exists");
+        let first = journal.find('\n').expect("one line at least") + 1;
+        std::fs::write(&out_path, &journal[..first]).expect("truncate");
+        let before = watch.count();
+        let resumed = run_campaign_journaled(&spec, &opts(2), &config(true), &CancelToken::new())
+            .expect("resume runs");
+        assert_eq!(resumed.recovered, 1);
+        assert_eq!(resumed.executed, full.executed - 1);
+        assert_eq!(watch.count() - before, resumed.executed as u64);
+        assert_eq!(
+            std::fs::read_to_string(&out_path).expect("journal"),
+            journal
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commit_watch_wait_past_sees_earlier_bumps_and_times_out_without_one() {
+        let watch = CommitWatch::new();
+        let seen = watch.count();
+        watch.clone().bump();
+        let start = std::time::Instant::now();
+        assert_eq!(watch.wait_past(seen, Duration::from_secs(30)), seen + 1);
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "no wait for a bump already made"
+        );
+
+        let start = std::time::Instant::now();
+        assert_eq!(
+            watch.wait_past(seen + 1, Duration::from_millis(50)),
+            seen + 1
+        );
+        assert!(
+            start.elapsed() >= Duration::from_millis(50),
+            "waits out the timeout"
+        );
+
+        // A bump from another thread wakes a blocked waiter.
+        let bumper = watch.clone();
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            bumper.bump();
+        });
+        assert_eq!(watch.wait_past(seen + 1, Duration::from_secs(30)), seen + 2);
+        t.join().expect("bumper");
     }
 
     #[test]

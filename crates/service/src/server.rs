@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `/jobs` | POST | `qdc-job/v1` receipt (201), or a structured rejection |
 //! | `/jobs/<id>` | GET | `qdc-job/v1` with live progress |
-//! | `/jobs/<id>/records` | GET | chunked JSONL long-poll tail of the journal |
+//! | `/jobs/<id>/records` | GET | chunked JSONL tail of the journal, pushed on commit |
 //! | `/jobs/<id>/telemetry` | GET | all telemetry archives, concatenated |
 //! | `/jobs/<id>/telemetry/<i>` | GET | one point's archive, byte-exact |
 //! | `/status` | GET | `qdc-service-status/v1` snapshot |
@@ -20,8 +20,18 @@
 //! never block a worker, because the streaming endpoint reads only the
 //! committed journal *file* — workers append through the fsync
 //! discipline of [`qdc_harness::Journal`] and never hand bytes to a
-//! socket. Each connection gets its own thread and a read timeout, so
-//! a stalled client costs one thread, not the accept loop.
+//! socket. Each connection gets its own thread and read and write
+//! timeouts, so a stalled client costs one thread for a bounded time,
+//! not the accept loop.
+//!
+//! # Wake-ups
+//!
+//! Nothing polls on a timer in the fast path. The accept loop blocks in
+//! `accept`; workers bump a shared [`CommitWatch`] after every durable
+//! journal line and after each job finishes, and record streams block
+//! on that watch, so a committed record leaves the service as soon as
+//! it is fsync'd. On shutdown a waker thread bumps the watch (open
+//! streams end) and connects to the listener once (`accept` returns).
 //!
 //! # Durability
 //!
@@ -40,10 +50,10 @@ use crate::wire::{error_json, job_json, status_json, submit_error_json};
 use qdc_harness::json::{self, Json};
 use qdc_harness::{
     builtin, journal, run_campaign_journaled, spec_from_json, CampaignSpec, CancelToken,
-    JournalConfig, RunOptions, TelemetryMode,
+    CommitWatch, JournalConfig, RunOptions, TelemetryMode,
 };
 use std::io::{self, BufReader, Read as _, Seek as _, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -77,9 +87,20 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Read and write timeout of every connection: a client that sends or
+/// reads nothing for this long loses its connection and frees its
+/// thread.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a blocked worker, stream or waker goes before it rechecks
+/// the cancel token, which cannot wake anyone itself.
+const CANCEL_CHECK: Duration = Duration::from_millis(100);
+
 struct ServiceState {
     core: Mutex<ServiceCore>,
     wake: Condvar,
+    /// Bumped after every durable journal line and every finished job.
+    commits: CommitWatch,
     config: ServiceConfig,
     cancel: CancelToken,
 }
@@ -110,6 +131,7 @@ impl Server {
             state: Arc::new(ServiceState {
                 core: Mutex::new(core),
                 wake: Condvar::new(),
+                commits: CommitWatch::new(),
                 config,
                 cancel,
             }),
@@ -134,16 +156,32 @@ impl Server {
     /// join the workers, return. Queued jobs stay queued on disk; a
     /// restart re-enqueues them.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+        let wake_addr = self_connect_addr(self.listener.local_addr()?);
         let workers: Vec<_> = (0..self.state.config.workers.max(1))
             .map(|_| {
                 let state = Arc::clone(&self.state);
                 std::thread::spawn(move || worker_loop(&state))
             })
             .collect();
+        let waker = {
+            let state = Arc::clone(&self.state);
+            std::thread::spawn(move || {
+                while !state.cancel.is_cancelled() {
+                    std::thread::sleep(CANCEL_CHECK);
+                }
+                state.commits.bump();
+                // Unblocks `accept`; if it fails, the next real client
+                // does the same.
+                let _ = TcpStream::connect_timeout(&wake_addr, IO_TIMEOUT);
+            })
+        };
 
-        while !self.state.cancel.is_cancelled() {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            if self.state.cancel.is_cancelled() {
+                break;
+            }
+            match accepted {
                 Ok((stream, peer)) => {
                     let state = Arc::clone(&self.state);
                     std::thread::spawn(move || {
@@ -151,19 +189,30 @@ impl Server {
                         let _ = handle_connection(&state, stream, peer);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(15));
-                }
+                // A real accept error (EMFILE and the like): back off
+                // so the loop cannot spin hot.
                 Err(_) => std::thread::sleep(Duration::from_millis(15)),
             }
         }
 
+        let _ = waker.join();
         self.state.wake.notify_all();
         for worker in workers {
             let _ = worker.join();
         }
         Ok(())
     }
+}
+
+/// Where the shutdown waker connects to reach a listener bound at
+/// `bound`: the address itself, or loopback for a wildcard bind.
+fn self_connect_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Pulls jobs FIFO until shutdown. Every run is the deterministic
@@ -183,7 +232,7 @@ fn worker_loop(state: &ServiceState) {
                 }
                 let (guard, _) = state
                     .wake
-                    .wait_timeout(core, Duration::from_millis(100))
+                    .wait_timeout(core, CANCEL_CHECK)
                     .expect("core lock");
                 core = guard;
             }
@@ -198,6 +247,7 @@ fn worker_loop(state: &ServiceState) {
                 .then(|| telemetry_dir.to_string_lossy().into_owned()),
             resume: true,
             with_wall: false,
+            commits: Some(state.commits.clone()),
         };
         let options = RunOptions {
             threads: state.config.job_threads.max(1),
@@ -226,16 +276,16 @@ fn worker_loop(state: &ServiceState) {
                 core.finish(job.id, job.committed, job.aggregate, true);
             }
         }
+        drop(core);
+        // Streams of this job see its terminal state at once.
+        state.commits.bump();
     }
 }
 
 /// One request per connection: parse, route, answer, close.
-fn handle_connection(
-    state: &ServiceState,
-    stream: TcpStream,
-    peer: std::net::SocketAddr,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+fn handle_connection(state: &ServiceState, stream: TcpStream, peer: SocketAddr) -> io::Result<()> {
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     match read_request(&mut reader) {
@@ -297,7 +347,7 @@ fn parse_route(path: &str) -> Route {
 fn route(
     state: &ServiceState,
     req: &Request,
-    peer: std::net::SocketAddr,
+    peer: SocketAddr,
     w: &mut TcpStream,
 ) -> io::Result<()> {
     match (parse_route(&req.path), req.method.as_str()) {
@@ -363,7 +413,7 @@ fn parse_submission(doc: &Json) -> Result<(CampaignSpec, bool), String> {
 fn submit(
     state: &ServiceState,
     req: &Request,
-    peer: std::net::SocketAddr,
+    peer: SocketAddr,
     w: &mut TcpStream,
 ) -> io::Result<()> {
     let client = match req.header("x-qdc-client") {
@@ -462,12 +512,12 @@ fn job_status(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()
     write_json_response(w, 200, &job_json(&job))
 }
 
-/// `GET /jobs/<id>/records` — long-poll tail of the journal as chunked
-/// JSONL. Emits only whole committed lines (everything up to the last
-/// newline on disk), polls while the job is live, and terminates once
-/// the job reaches a terminal state and the tail is drained. Reads the
-/// file, never the worker: back-pressure from a slow client stops
-/// *this* thread at the socket, nothing else.
+/// `GET /jobs/<id>/records` — tail of the journal as chunked JSONL.
+/// Emits only whole committed lines (everything up to the last newline
+/// on disk), waits on the commit watch while the job is live, and
+/// terminates once the job reaches a terminal state and the tail is
+/// drained. Reads the file, never the worker: back-pressure from a slow
+/// client stops *this* thread at the socket, nothing else.
 fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Result<()> {
     let exists = {
         let core = state.core.lock().expect("core lock");
@@ -480,9 +530,11 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
     let mut chunks = ChunkedWriter::begin(w, 200, "application/jsonl")?;
     let mut offset = 0u64;
     loop {
-        // Read the state *before* the file: bytes committed after this
-        // check are caught on the next loop, and once terminal the file
-        // can only be complete.
+        // Sample the commit count, then the state, then the file: a
+        // commit after the sample moves the count past it, so the wait
+        // below returns at once and no wake-up is lost; and once
+        // terminal the file can only be complete.
+        let seen = state.commits.count();
         let terminal = {
             let core = state.core.lock().expect("core lock");
             matches!(
@@ -490,7 +542,7 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
                 Some(JobState::Completed | JobState::Interrupted) | None
             )
         };
-        // Re-open each poll (the journal does not exist until the worker
+        // Re-open each pass (the journal does not exist until the worker
         // starts the job) but read only from the last streamed boundary:
         // total I/O over the life of a streaming client is linear in the
         // journal, not quadratic. Bytes streamed so far never change —
@@ -503,7 +555,7 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
             }
         }
         // Emit only whole lines; a partial trailing line stays unsent
-        // (and is re-read next poll — at most one record of rework).
+        // (and is re-read next pass — at most one record of rework).
         let committed = tail
             .iter()
             .rposition(|&b| b == b'\n')
@@ -516,7 +568,7 @@ fn stream_records(state: &ServiceState, id: u64, w: &mut TcpStream) -> io::Resul
         if terminal || state.cancel.is_cancelled() {
             break;
         }
-        std::thread::sleep(Duration::from_millis(25));
+        state.commits.wait_past(seen, CANCEL_CHECK);
     }
     chunks.finish()
 }

@@ -10,8 +10,9 @@ use qdc_service::{
     validate_error, validate_job, validate_status, QuotaConfig, Server, ServiceConfig,
 };
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -419,6 +420,194 @@ fn loopback_telemetry_archives_are_served_byte_exactly() {
     wait_terminal(&server.addr, 2);
     let (status, no_telemetry) = get(&server.addr, "/jobs/2/telemetry");
     assert_eq!(status, 404, "{no_telemetry}");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A blocking `accept` must not outlive the cancel token: an idle
+/// server that never sees a connection still returns from `run()`.
+#[test]
+fn loopback_idle_server_returns_soon_after_cancel() {
+    let dir = temp_dir("idle");
+    let cancel = CancelToken::new();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServiceConfig {
+            data_dir: dir.clone(),
+            ..ServiceConfig::default()
+        },
+        cancel.clone(),
+    )
+    .expect("binds");
+    let handle = std::thread::spawn(move || server.run());
+    std::thread::sleep(Duration::from_millis(50));
+    let cancelled = Instant::now();
+    cancel.cancel();
+    while !handle.is_finished() {
+        assert!(
+            cancelled.elapsed() < Duration::from_secs(2),
+            "run() still blocked 2 s after cancel"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.join().expect("no panic").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A records stream of a job that never starts ends cleanly, with the
+/// chunked terminator, once the service is cancelled.
+#[test]
+fn loopback_records_stream_of_a_queued_job_ends_on_cancel() {
+    let dir = temp_dir("queued_stream");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        workers: 1,
+        // Job 1 holds the only worker for ~2 s, so job 2 stays queued.
+        throttle_ms: 500,
+        ..ServiceConfig::default()
+    });
+    for _ in 0..2 {
+        let (status, receipt) = post(
+            &server.addr,
+            "/jobs",
+            "alice",
+            "{\"builtin\":\"simthm_smoke\"}",
+        );
+        assert_eq!(status, 201, "{receipt}");
+    }
+
+    let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+        .write_all(b"GET /jobs/2/records HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    // Read the response head: the stream is open and waiting.
+    let mut response = Vec::new();
+    let mut byte = [0u8; 1];
+    while !response.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        response.push(byte[0]);
+    }
+    assert!(
+        String::from_utf8_lossy(&response).contains("Transfer-Encoding: chunked"),
+        "{}",
+        String::from_utf8_lossy(&response)
+    );
+
+    let cancelled = Instant::now();
+    server.cancel.cancel();
+    stream
+        .read_to_end(&mut response)
+        .expect("stream ends before the read timeout");
+    let ended = cancelled.elapsed();
+    let text = String::from_utf8(response).expect("utf8");
+    assert!(
+        text.ends_with("\r\n\r\n0\r\n\r\n"),
+        "no records, then the terminator: {text:?}"
+    );
+    assert!(
+        ended < Duration::from_secs(2),
+        "stream ended {ended:?} after cancel"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kernel's view of the IPv4 TCP socket `local` → `remote`:
+/// `(state, tx_queue, rx_queue)` from `/proc/net/tcp`, where state 1 is
+/// ESTABLISHED, `tx_queue` the bytes written but not yet acknowledged
+/// and `rx_queue` the bytes received but not yet read.
+#[cfg(target_os = "linux")]
+fn tcp_socket(local: SocketAddr, remote: SocketAddr) -> Option<(u8, u64, u64)> {
+    let hex = |addr: SocketAddr| match addr {
+        SocketAddr::V4(a) => format!(
+            "{:08X}:{:04X}",
+            u32::from_ne_bytes(a.ip().octets()),
+            a.port()
+        ),
+        SocketAddr::V6(_) => unreachable!("the test server binds IPv4"),
+    };
+    let (local, remote) = (hex(local), hex(remote));
+    let table = std::fs::read_to_string("/proc/net/tcp").ok()?;
+    table.lines().skip(1).find_map(|line| {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if fields.get(1) != Some(&local.as_str()) || fields.get(2) != Some(&remote.as_str()) {
+            return None;
+        }
+        let (tx, rx) = fields.get(4)?.split_once(':')?;
+        Some((
+            u8::from_str_radix(fields.get(3)?, 16).ok()?,
+            u64::from_str_radix(tx, 16).ok()?,
+            u64::from_str_radix(rx, 16).ok()?,
+        ))
+    })
+}
+
+/// A reader that stops reading costs its connection thread a bounded
+/// time: once the socket buffers fill, the server's write times out and
+/// it closes the connection before the chunked terminator, instead of
+/// blocking forever. Observed through the kernel's socket table, since
+/// reading the response would let the server go on.
+#[cfg(target_os = "linux")]
+#[test]
+fn loopback_stalled_reader_is_dropped_by_the_write_timeout() {
+    let dir = temp_dir("stalled");
+    let server = TestServer::start(ServiceConfig {
+        data_dir: dir.clone(),
+        ..ServiceConfig::default()
+    });
+    let (status, receipt) = post(
+        &server.addr,
+        "/jobs",
+        "alice",
+        "{\"builtin\":\"telemetry_smoke\",\"telemetry\":true}",
+    );
+    assert_eq!(status, 201, "{receipt}");
+    wait_terminal(&server.addr, 1);
+
+    // Several times what the socket buffers between the two ends hold
+    // (a few MiB each way at most), so the server's writes must block.
+    let line = "{\"round\":1,\"messages\":4,\"bits\":64,\"dropped\":0,\"corrupted\":0,\
+                \"crashes\":0,\"quiescent\":0,\"util\":[0,4,0,0,0],\"split\":[64,0,0]}\n";
+    let big = line.repeat(24 << 20 >> 7); // ~24 MiB
+    std::fs::write(
+        dir.join("job_1.telemetry").join("point_9.telemetry.jsonl"),
+        &big,
+    )
+    .expect("plant archive");
+
+    let mut stream = TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .write_all(b"GET /jobs/1/telemetry/9 HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send");
+    let (client, server_end) = (
+        stream.local_addr().expect("local"),
+        stream.peer_addr().expect("peer"),
+    );
+    // Never read; wait for the server's end to leave ESTABLISHED.
+    let start = Instant::now();
+    let (server_unacked, client_unread) = loop {
+        let (state, tx, _) = tcp_socket(server_end, client).expect("server end is listed");
+        if state != 1 {
+            let (_, _, rx) = tcp_socket(client, server_end).expect("client end is listed");
+            break (tx, rx);
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "the server is still writing to a reader that stopped"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    // Everything the server wrote is still in the two socket buffers.
+    let written = server_unacked + client_unread;
+    assert!(
+        written < big.len() as u64,
+        "the server closed after {written} of the archive's {} bytes",
+        big.len()
+    );
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
