@@ -10,12 +10,128 @@
 //! `from_bools`, `to_bools`) work on whole 64-bit words with at most one
 //! cross-word split per call, not bit-by-bit loops; the bit-by-bit
 //! originals survive in the test module as a differential oracle.
+//!
+//! The first word lives inline, so a payload of at most 64 bits (a
+//! label, an id, a distance) never touches the allocator.
+
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
+/// Packed word storage with one word inline.
+///
+/// It spills to the heap only when it needs a second word, and once
+/// spilled it stays spilled, so a string that is cleared and refilled
+/// (the round engine's payload slab, a large payload) keeps reusing its
+/// allocation. The rest of this module sees it as a `[u64]` slice plus
+/// the few `Vec` operations below.
+#[derive(Clone)]
+enum Words {
+    /// No word (`false`) or exactly one (`true`); the word is zero when
+    /// absent.
+    Inline(bool, u64),
+    Heap(Vec<u64>),
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Inline(false, 0)
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline(false, _) => &[],
+            Words::Inline(true, w) => std::slice::from_ref(w),
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline(false, _) => &mut [],
+            Words::Inline(true, w) => std::slice::from_mut(w),
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl Words {
+    /// The heap vector, moving an inline word into a fresh allocation
+    /// with room for `additional` more words first.
+    fn spill(&mut self, additional: usize) -> &mut Vec<u64> {
+        if let Words::Inline(present, w) = *self {
+            let mut v = Vec::with_capacity(usize::from(present) + additional);
+            v.extend(present.then_some(w));
+            *self = Words::Heap(v);
+        }
+        let Words::Heap(v) = self else {
+            unreachable!("spilled above")
+        };
+        v
+    }
+
+    #[inline]
+    fn push(&mut self, word: u64) {
+        match self {
+            Words::Inline(false, _) => *self = Words::Inline(true, word),
+            Words::Inline(true, _) => self.spill(1).push(word),
+            Words::Heap(v) => v.push(word),
+        }
+    }
+
+    fn extend_from_slice(&mut self, words: &[u64]) {
+        match (&*self, words) {
+            (_, []) => {}
+            (Words::Inline(false, _), &[w]) => *self = Words::Inline(true, w),
+            _ => self.spill(words.len()).extend_from_slice(words),
+        }
+    }
+
+    /// Makes room for `additional` more words, spilling only when the
+    /// total would exceed the inline word.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            Words::Heap(v) => v.reserve(additional),
+            Words::Inline(..) if self.len() + additional > 1 => {
+                self.spill(additional);
+            }
+            Words::Inline(..) => {}
+        }
+    }
+
+    #[inline]
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Words::Inline(..) if len == 0 => *self = Words::default(),
+            Words::Inline(..) => {}
+            Words::Heap(v) => v.truncate(len),
+        }
+    }
+
+    #[inline]
+    fn clear(&mut self) {
+        self.truncate(0);
+    }
+}
 
 /// A growable bit string packed into 64-bit words.
 ///
 /// Invariant: `words.len() == len.div_ceil(64)` and every bit at
 /// position `>= len` in the last word is zero. Equality and hashing
-/// therefore compare packed words directly.
+/// therefore compare packed words directly, whether the words are
+/// inline or on the heap.
+///
+/// A string of at most 64 bits keeps its one word inline and never
+/// allocates; a longer one spills to the heap and keeps that allocation
+/// through [`clear`](BitString::clear) and
+/// [`truncate`](BitString::truncate).
 ///
 /// # Example
 ///
@@ -31,10 +147,27 @@
 /// assert_eq!(r.read_bit(), Some(true));
 /// assert_eq!(r.read_bit(), None);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Default)]
 pub struct BitString {
-    words: Vec<u64>,
+    words: Words,
     len: usize,
+}
+
+impl PartialEq for BitString {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && *self.words == *other.words
+    }
+}
+
+impl Eq for BitString {}
+
+impl Hash for BitString {
+    /// Feeds the hasher exactly what the derived impl over a
+    /// `Vec<u64>` did: the word slice, then the length.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (*self.words).hash(state);
+        self.len.hash(state);
+    }
 }
 
 impl std::fmt::Debug for BitString {
@@ -68,7 +201,8 @@ impl BitString {
 
     /// Builds from a slice of bools, packing 64 bits per word.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut words = Vec::with_capacity(bits.len().div_ceil(64));
+        let mut words = Words::default();
+        words.reserve(bits.len().div_ceil(64));
         for chunk in bits.chunks(64) {
             let mut w = 0u64;
             for (i, &b) in chunk.iter().enumerate() {
@@ -144,7 +278,7 @@ impl BitString {
     }
 
     /// Appends another bit string, word by word (one cross-word split per
-    /// 64 bits when the tail is unaligned, a plain `Vec` extend when it
+    /// 64 bits when the tail is unaligned, a plain slice extend when it
     /// is aligned).
     pub fn extend_bits(&mut self, other: &BitString) {
         if other.len == 0 {
@@ -156,7 +290,7 @@ impl BitString {
             return;
         }
         let mut remaining = other.len;
-        for &w in &other.words {
+        for &w in other.words.iter() {
             let take = remaining.min(64);
             // The invariant zeroes bits past `other.len`, so `w` already
             // fits in `take` bits and splits like a `push_uint`.
@@ -178,7 +312,7 @@ impl BitString {
     pub fn to_bools(&self) -> Vec<bool> {
         let mut out = Vec::with_capacity(self.len);
         let mut remaining = self.len;
-        for &w in &self.words {
+        for &w in self.words.iter() {
             let take = remaining.min(64);
             for i in 0..take {
                 out.push(w >> i & 1 == 1);
@@ -237,8 +371,9 @@ impl BitString {
         self.len = new_len;
     }
 
-    /// Empties the string in place, keeping the word allocation — the
-    /// reset the round engine's payload slab performs once per round.
+    /// Empties the string in place, keeping a spilled string's heap
+    /// allocation — the reset the round engine's payload slab performs
+    /// once per round.
     pub fn clear(&mut self) {
         self.words.clear();
         self.len = 0;
@@ -549,8 +684,128 @@ mod tests {
         assert!(b.is_empty());
     }
 
+    /// Asserts the packed-word invariants: one word per started 64 bits
+    /// and a zero tail past `len`.
+    fn assert_invariants(b: &BitString) {
+        assert_eq!(b.words.len(), b.len.div_ceil(64), "word count of {b:?}");
+        if let (Some(&last), tail @ 1..) = (b.words.last(), b.len % 64) {
+            assert_eq!(last >> tail, 0, "nonzero tail past bit {}", b.len);
+        }
+    }
+
+    fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn spilled_then_truncated_equals_and_hashes_like_fresh() {
+        let mut grown = BitString::new();
+        for i in 0..130 {
+            grown.push_bit(i % 3 != 1);
+        }
+        grown.truncate(10);
+        assert!(matches!(grown.words, Words::Heap(_)));
+        let fresh: BitString = (0..10).map(|i| i % 3 != 1).collect();
+        assert!(matches!(fresh.words, Words::Inline(true, _)));
+        assert_eq!(grown, fresh);
+        assert_eq!(hash_of(&grown), hash_of(&fresh));
+        // The same hash the derived impl over `Vec<u64>` produced.
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        vec![fresh.words[0]].hash(&mut h);
+        10usize.hash(&mut h);
+        assert_eq!(hash_of(&fresh), h.finish());
+    }
+
+    /// Lengths at and around the inline/heap boundary and the next word
+    /// boundary.
+    const NEAR_SPILL: [usize; 11] = [0, 1, 2, 62, 63, 64, 65, 66, 127, 128, 129];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Random edit sequences whose lengths cluster around 63/64/65/
+        /// 128 bits agree with a bool-vector model after every step, keep
+        /// the packed-word invariants, compare and hash equal to the
+        /// bit-by-bit oracle's string, and spill exactly when the string
+        /// first needs a second word. Each step is `(op, a, b)`: `op`
+        /// picks the operation, `a` supplies bits, `b` a length.
+        #[test]
+        fn edit_sequences_across_the_spill_boundary_match_the_oracle(
+            steps in prop::collection::vec((0usize..7, any::<u64>(), any::<usize>()), 1..40),
+        ) {
+            let mut fast = BitString::new();
+            let mut model: Vec<bool> = Vec::new();
+            let mut spilled = false;
+            for &(op, a, b) in &steps {
+                let near = NEAR_SPILL[b % NEAR_SPILL.len()];
+                let bits_of = |n: usize| (0..n).map(|i| a.rotate_right(i as u32) & 1 == 1);
+                match op {
+                    0 => {
+                        fast.push_bit(a & 1 == 1);
+                        model.push(a & 1 == 1);
+                    }
+                    1 => {
+                        // Even `b`: fill up to the next clustered length.
+                        let width = if b % 2 == 0 {
+                            let target = NEAR_SPILL.iter().find(|&&t| t > model.len());
+                            target.map_or(64, |&t| (t - model.len()).min(64))
+                        } else {
+                            b % 65
+                        };
+                        let value = a & low_mask(width);
+                        fast.push_uint(value, width);
+                        model.extend((0..width).map(|i| value >> i & 1 == 1));
+                    }
+                    2 => {
+                        let other = oracle::from_bools(&bits_of(near).collect::<Vec<_>>());
+                        fast.extend_bits(&other);
+                        model.extend(bits_of(near));
+                    }
+                    3 if !model.is_empty() => {
+                        let i = b % model.len();
+                        fast.toggle(i);
+                        model[i] = !model[i];
+                    }
+                    4 => {
+                        fast.truncate(near);
+                        model.truncate(near);
+                    }
+                    5 => {
+                        fast.clear();
+                        model.clear();
+                    }
+                    6 => {
+                        // Into an inline or an already-spilled destination
+                        // holding stale bits.
+                        let into_spilled = a % 2 == 0;
+                        let mut dst = if into_spilled {
+                            let mut d = BitString::from_bools(&[true; 130]);
+                            d.truncate(7);
+                            d
+                        } else {
+                            BitString::from_bools(&[true; 7])
+                        };
+                        prop_assert_eq!(matches!(dst.words, Words::Heap(_)), into_spilled);
+                        let len = near.min(model.len());
+                        let start = (a as usize >> 1) % (model.len() - len + 1);
+                        fast.copy_range_into(start, len, &mut dst);
+                        fast = dst;
+                        model = model[start..start + len].to_vec();
+                        spilled = into_spilled;
+                    }
+                    _ => {}
+                }
+                spilled |= model.len() > 64;
+                assert_invariants(&fast);
+                prop_assert_eq!(fast.to_bools(), model.clone());
+                let slow = oracle::from_bools(&model);
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(hash_of(&fast), hash_of(&slow));
+                prop_assert_eq!(matches!(fast.words, Words::Heap(_)), spilled);
+            }
+        }
 
         /// Word-level `push_uint` produces bit-identical strings to the
         /// bit-by-bit oracle on arbitrary (value, width) streams.

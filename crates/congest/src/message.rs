@@ -25,14 +25,17 @@ impl Message {
         Message::default()
     }
 
-    /// A one-bit message.
+    /// A one-bit message. Like every payload of at most 64 bits, it is
+    /// stored inline and never allocates.
     pub fn from_bit(bit: bool) -> Self {
         let mut payload = BitString::new();
         payload.push_bit(bit);
         Message { payload }
     }
 
-    /// A `width`-bit unsigned integer message.
+    /// A `width`-bit unsigned integer message. The payload (at most 64
+    /// bits) is stored inline: building, cloning and dropping it never
+    /// touch the allocator.
     ///
     /// # Panics
     ///
@@ -43,7 +46,24 @@ impl Message {
         Message { payload }
     }
 
-    /// Wraps an existing bit string.
+    /// Wraps an existing bit string — the builder for multi-field
+    /// messages.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use qdc_congest::Message;
+    /// use qdc_congest::BitString;
+    ///
+    /// let mut bits = BitString::new();
+    /// bits.push_uint(3, 8);   // a tag
+    /// bits.push_uint(42, 16); // a value
+    /// let m = Message::from_bits(bits);
+    /// assert_eq!(m.bit_len(), 24);
+    /// let mut r = m.reader();
+    /// assert_eq!(r.read_uint(8), Some(3));
+    /// assert_eq!(r.read_uint(16), Some(42));
+    /// ```
     pub fn from_bits(payload: BitString) -> Self {
         Message { payload }
     }
@@ -67,7 +87,7 @@ impl Message {
     }
 
     /// Overwrites the payload with `len` bits copied out of `slab`
-    /// starting at `start`, reusing this message's allocation. This is
+    /// starting at `start`, reusing this message's storage. This is
     /// the scatter half of the round engine's columnar plane: delivered
     /// payloads are carved out of the per-round slab into recycled
     /// `Message` shells without touching the allocator.
@@ -113,23 +133,6 @@ impl From<BitString> for Message {
     }
 }
 
-/// A builder for multi-field messages.
-///
-/// # Example
-///
-/// ```
-/// use qdc_congest::Message;
-/// use qdc_congest::BitString;
-///
-/// let mut bits = BitString::new();
-/// bits.push_uint(3, 8);   // a tag
-/// bits.push_uint(42, 16); // a value
-/// let m = Message::from_bits(bits);
-/// assert_eq!(m.bit_len(), 24);
-/// let mut r = m.reader();
-/// assert_eq!(r.read_uint(8), Some(3));
-/// assert_eq!(r.read_uint(16), Some(42));
-/// ```
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,5 +163,13 @@ mod tests {
         let m: Message = b.clone().into();
         assert_eq!(m.payload(), &b);
         assert_eq!(m.bit_len(), 3);
+    }
+
+    #[test]
+    fn message_and_its_option_stay_32_bytes() {
+        // The inline-word storage keeps a niche, so `Option<Message>` —
+        // the type of every inbox and outbox slot — costs nothing extra.
+        assert_eq!(std::mem::size_of::<Message>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Message>>(), 32);
     }
 }

@@ -464,7 +464,9 @@ impl Outbox {
 
     /// Sends a copy of `msg` on every port (moving, not cloning, the
     /// original into the last port — one clone fewer per broadcast on
-    /// the round engine's hot path).
+    /// the round engine's hot path). Cloning a payload of at most 64
+    /// bits copies its inline word, so such a broadcast never touches
+    /// the allocator.
     pub fn broadcast(&mut self, msg: Message) {
         let ports = self.msgs.len();
         for port in 0..ports.saturating_sub(1) {
