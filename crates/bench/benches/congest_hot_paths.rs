@@ -137,10 +137,12 @@ fn bench_slab_delivery(c: &mut Criterion) {
     use qdc_congest::{Inbox, Message, NodeAlgorithm, NodeInfo, Outbox};
     let mut g = c.benchmark_group("slab");
     g.sample_size(10);
-    // An every-round rebroadcast on a dense graph is the message plane's
-    // worst case: every directed slot is packed, masked and scattered
-    // every round. This pins the columnar (SoA) delivery path; the
-    // `flood` and `verification` groups above cover the mixed regimes.
+    // An every-round rebroadcast on a dense graph is delivery's worst
+    // case: every directed slot carries a message every round. This
+    // pins the direct outbox-to-inbox delivery pass; the `flood` and
+    // `verification` groups above cover the mixed regimes. The group
+    // keeps its historical `slab` name so readings stay comparable
+    // across the message-plane designs (EXPERIMENTS.md §PAR, §DIRECT).
     struct Rebroadcast {
         rounds_left: usize,
     }

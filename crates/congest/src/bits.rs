@@ -21,9 +21,8 @@ use std::ops::{Deref, DerefMut};
 ///
 /// It spills to the heap only when it needs a second word, and once
 /// spilled it stays spilled, so a string that is cleared and refilled
-/// (the round engine's payload slab, a large payload) keeps reusing its
-/// allocation. The rest of this module sees it as a `[u64]` slice plus
-/// the few `Vec` operations below.
+/// keeps reusing its allocation. The rest of this module sees it as a
+/// `[u64]` slice plus the few `Vec` operations below.
 #[derive(Clone)]
 enum Words {
     /// No word (`false`) or exactly one (`true`); the word is zero when
@@ -372,41 +371,10 @@ impl BitString {
     }
 
     /// Empties the string in place, keeping a spilled string's heap
-    /// allocation — the reset the round engine's payload slab performs
-    /// once per round.
+    /// allocation.
     pub fn clear(&mut self) {
         self.words.clear();
         self.len = 0;
-    }
-
-    /// Overwrites `dst` with the `len` bits starting at `start`, reusing
-    /// `dst`'s word allocation. The copy works a whole word at a time
-    /// (one shift-and-or per 64 bits) and masks the final partial word,
-    /// so `dst` always satisfies the zero-tail packed-word invariant —
-    /// this is how the round engine scatters payloads out of its
-    /// per-round slab without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds the string length.
-    pub fn copy_range_into(&self, start: usize, len: usize, dst: &mut BitString) {
-        assert!(
-            start + len <= self.len,
-            "range {start}..{} out of bounds ({})",
-            start + len,
-            self.len
-        );
-        dst.words.clear();
-        dst.words.reserve(len.div_ceil(64));
-        dst.len = len;
-        let mut pos = start;
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(64);
-            dst.words.push(self.extract(pos, take));
-            pos += take;
-            remaining -= take;
-        }
     }
 
     /// A sequential reader over the bits.
@@ -668,14 +636,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn copy_range_into_out_of_bounds_panics() {
-        let slab = BitString::from_bools(&[true, false]);
-        let mut dst = BitString::new();
-        slab.copy_range_into(1, 2, &mut dst);
-    }
-
-    #[test]
     fn truncate_beyond_len_is_noop() {
         let mut b = BitString::from_bools(&[true, false]);
         b.truncate(5);
@@ -733,7 +693,7 @@ mod tests {
         /// picks the operation, `a` supplies bits, `b` a length.
         #[test]
         fn edit_sequences_across_the_spill_boundary_match_the_oracle(
-            steps in prop::collection::vec((0usize..7, any::<u64>(), any::<usize>()), 1..40),
+            steps in prop::collection::vec((0usize..6, any::<u64>(), any::<usize>()), 1..40),
         ) {
             let mut fast = BitString::new();
             let mut model: Vec<bool> = Vec::new();
@@ -775,25 +735,6 @@ mod tests {
                     5 => {
                         fast.clear();
                         model.clear();
-                    }
-                    6 => {
-                        // Into an inline or an already-spilled destination
-                        // holding stale bits.
-                        let into_spilled = a % 2 == 0;
-                        let mut dst = if into_spilled {
-                            let mut d = BitString::from_bools(&[true; 130]);
-                            d.truncate(7);
-                            d
-                        } else {
-                            BitString::from_bools(&[true; 7])
-                        };
-                        prop_assert_eq!(matches!(dst.words, Words::Heap(_)), into_spilled);
-                        let len = near.min(model.len());
-                        let start = (a as usize >> 1) % (model.len() - len + 1);
-                        fast.copy_range_into(start, len, &mut dst);
-                        fast = dst;
-                        model = model[start..start + len].to_vec();
-                        spilled = into_spilled;
                     }
                     _ => {}
                 }
@@ -876,24 +817,6 @@ mod tests {
             let mut r = b.reader();
             r.read_uint(offset);
             prop_assert_eq!(r.read_uint(64), Some(v));
-        }
-
-        /// `copy_range_into` carves exactly the bool-model slice out of
-        /// an arbitrary (unaligned) range, reuses the destination's
-        /// allocation, and keeps the zero-tail packed-word invariant.
-        #[test]
-        fn copy_range_into_matches_bool_slice(
-            v in prop::collection::vec(any::<bool>(), 0..300),
-            a in any::<usize>(),
-            b in any::<usize>(),
-        ) {
-            let (a, b) = (a % (v.len() + 1), b % (v.len() + 1));
-            let (start, end) = (a.min(b), a.max(b));
-            let slab = BitString::from_bools(&v);
-            let mut dst = BitString::from_bools(&[true; 70]); // stale content
-            slab.copy_range_into(start, end - start, &mut dst);
-            prop_assert_eq!(&dst, &BitString::from_bools(&v[start..end]));
-            prop_assert_eq!(dst.words.len(), dst.len.div_ceil(64));
         }
 
         /// `truncate` equals rebuilding from the bool prefix and keeps

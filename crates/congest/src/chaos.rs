@@ -126,12 +126,11 @@ pub struct FaultStats {
 /// The fate of one in-flight message, as decided by
 /// [`FaultPlan::decide`].
 ///
-/// The columnar round engine applies the action to its bit-packed
-/// payload slab (a word XOR for `Toggle`, a length cut for `Truncate`)
-/// instead of materialising a `Message` first; [`FaultPlan::filter`]
-/// applies the same action to a `Message` in place. Both paths draw the
-/// same randomness in the same order, so they replay byte-exactly under
-/// the same config.
+/// The round engine matches on the action itself, so its telemetry can
+/// tell a drop, a bit flip and a truncation apart, and then edits the
+/// in-flight `Message` in place exactly as [`FaultPlan::filter`] does.
+/// Both paths draw the same randomness in the same order, so they replay
+/// byte-exactly under the same config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
     /// Deliver the payload untouched.

@@ -86,19 +86,6 @@ impl Message {
         &mut self.payload
     }
 
-    /// Overwrites the payload with `len` bits copied out of `slab`
-    /// starting at `start`, reusing this message's storage. This is
-    /// the scatter half of the round engine's columnar plane: delivered
-    /// payloads are carved out of the per-round slab into recycled
-    /// `Message` shells without touching the allocator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds the slab length.
-    pub fn load_range(&mut self, slab: &BitString, start: usize, len: usize) {
-        slab.copy_range_into(start, len, &mut self.payload);
-    }
-
     /// A reader over the payload.
     pub fn reader(&self) -> BitReader<'_> {
         self.payload.reader()

@@ -1,6 +1,5 @@
 //! The lockstep CONGEST simulator.
 
-use crate::bits::BitString;
 use crate::chaos::{ChaosConfig, FaultAction, FaultPlan};
 use crate::message::Message;
 use crate::telemetry::{NullTelemetry, Telemetry};
@@ -654,12 +653,11 @@ pub struct Simulator<'g> {
     /// O(1) instead of scanning the receiver's neighbor list.
     back_port: Vec<Vec<usize>>,
     /// `slot_base[u] + p` is the directed-slot index of `u`'s port `p`
-    /// in the engine's columnar offset tables (prefix sums of degrees,
-    /// `Σ deg = 2·|E|` slots total).
+    /// (prefix sums of degrees, `Σ deg = 2·|E|` slots total).
     slot_base: Vec<usize>,
     /// `slot_dst[s]` is the receiver coordinate `(node index, inbox
     /// port)` of directed slot `s` — the back-port tables flattened
-    /// into slot order, so scatter resolves a slot straight to its
+    /// into slot order, so delivery resolves a slot straight to its
     /// inbox cell without re-deriving the port inversion.
     slot_dst: Vec<(usize, usize)>,
 }
@@ -999,12 +997,7 @@ impl<'g> Simulator<'g> {
             nodes,
             outgoing,
             inboxes,
-            slab: BitString::new(),
-            slot_start: vec![0; total_slots],
-            slot_bits: vec![0; total_slots],
-            active: Vec::new(),
-            prev_active: Vec::new(),
-            scratch: Vec::new(),
+            delivered: Vec::new(),
             dead: vec![false; self.infos.len()],
             live_slots: total_slots as u64,
             pending,
@@ -1025,12 +1018,11 @@ impl<'g> Simulator<'g> {
         }
     }
 
-    /// Executes one synchronous round — pack, chaos-mask, scatter,
-    /// account, step every node — on the engine's reusable buffers. The
-    /// message plane is columnar: payloads pack into one per-round bit
-    /// slab in delivery order, chaos applies as word-level edits to the
-    /// slab, and delivery scatters slab ranges into recycled message
-    /// shells. This is the single round implementation behind both
+    /// Executes one synchronous round — deliver (with chaos applied in
+    /// flight), account, step every node — on the engine's reusable
+    /// buffers. Delivery moves each queued `Message` from its outbox
+    /// cell into its inbox cell; no payload bit is copied. This is the
+    /// single round implementation behind both
     /// [`Simulator::run`] and [`Stepper::step`], so batch and stepped
     /// execution cannot diverge.
     /// Every telemetry call site is gated on `T::ENABLED`, a constant:
@@ -1069,41 +1061,35 @@ impl<'g> Simulator<'g> {
         } else {
             0
         };
-        // Pack: every queued payload concatenates into the per-round bit
-        // slab in the fixed delivery order (ascending sender id, then
-        // port), with the offset tables recording where each directed
-        // slot's payload lives. Chaos applies to the packed form — a
-        // drop leaves the slot off the active list, a toggle is a
-        // word-level XOR into the slab, a truncation shortens the
-        // recorded length (the scatter copy masks off the severed
-        // tail).
+        // Deliver: move every queued message straight from its outbox
+        // cell into the receiver's inbox cell, in the fixed delivery
+        // order (ascending sender id, then port). Chaos edits the moved
+        // payload in place, exactly as `FaultPlan::filter` does. Last
+        // round's deliveries expire first, so a port that stays idle
+        // (or whose message is dropped) reads `None`; walking the
+        // delivered list instead of the full `2·|E|` cell plane keeps a
+        // sparse round O(delivered).
         let mut messages = 0u64;
         let mut bits = 0u64;
         let Engine {
             outgoing,
             inboxes,
             plan,
-            slab,
-            slot_start,
-            slot_bits,
-            active,
-            prev_active,
-            scratch,
+            delivered,
             ..
         } = engine;
-        slab.clear();
-        active.clear();
+        for s in delivered.drain(..) {
+            let (v, q) = self.slot_dst[s];
+            inboxes[v].msgs[q] = None;
+        }
         for (u, ports) in outgoing.iter_mut().enumerate() {
             let info = &self.infos[u];
             let base = self.slot_base[u];
             for (p, slot) in ports.iter_mut().enumerate() {
-                let Some(msg) = slot.take() else { continue };
+                let Some(mut msg) = slot.take() else { continue };
                 let v = info.neighbors[p];
-                let len = msg.bit_len();
-                let start = slab.len();
-                slab.extend_bits(msg.payload());
-                let mut kept = len;
                 if let Some(plan) = plan.as_mut() {
+                    let len = msg.bit_len();
                     match plan.decide(info.id, v, len) {
                         FaultAction::Deliver => {}
                         FaultAction::Drop => {
@@ -1113,7 +1099,7 @@ impl<'g> Simulator<'g> {
                             continue;
                         }
                         FaultAction::Toggle(i) => {
-                            slab.toggle(start + i);
+                            msg.payload_mut().toggle(i);
                             if T::ENABLED {
                                 telemetry.on_chaos_corrupt(
                                     round,
@@ -1125,7 +1111,7 @@ impl<'g> Simulator<'g> {
                             }
                         }
                         FaultAction::Truncate(keep) => {
-                            kept = keep;
+                            msg.payload_mut().truncate(keep);
                             if T::ENABLED {
                                 telemetry.on_chaos_corrupt(
                                     round,
@@ -1138,9 +1124,7 @@ impl<'g> Simulator<'g> {
                         }
                     }
                 }
-                slot_start[base + p] = start;
-                slot_bits[base + p] = kept;
-                active.push(base + p);
+                let kept = msg.bit_len();
                 messages += 1;
                 bits += kept as u64;
                 if T::ENABLED {
@@ -1153,42 +1137,11 @@ impl<'g> Simulator<'g> {
                         bits: kept,
                     });
                 }
+                let (w, q) = self.slot_dst[base + p];
+                inboxes[w].msgs[q] = Some(msg);
+                delivered.push(base + p);
             }
         }
-        // Scatter: batch delivery as slab copies, by merging this
-        // round's and last round's sorted active lists. A slot active
-        // in both rounds carves its payload into the shell already
-        // sitting in its inbox cell (steady traffic never touches the
-        // pool or the allocator); a slot that went idle retires its
-        // shell to the scratch pool; a slot that woke up draws a pooled
-        // shell. Sparse rounds therefore cost O(delivered), not
-        // O(2·|E|).
-        let retire = |inboxes: &mut [Inbox], scratch: &mut Vec<Message>, s: usize| {
-            let (v, q) = self.slot_dst[s];
-            if let Some(stale) = inboxes[v].msgs[q].take() {
-                scratch.push(stale);
-            }
-        };
-        let mut i = 0;
-        for &s in active.iter() {
-            while i < prev_active.len() && prev_active[i] < s {
-                retire(inboxes, scratch, prev_active[i]);
-                i += 1;
-            }
-            if i < prev_active.len() && prev_active[i] == s {
-                i += 1;
-            }
-            let (v, q) = self.slot_dst[s];
-            let dst = &mut inboxes[v].msgs[q];
-            let mut msg = dst.take().or_else(|| scratch.pop()).unwrap_or_default();
-            msg.load_range(slab, slot_start[s], slot_bits[s]);
-            *dst = Some(msg);
-        }
-        while i < prev_active.len() {
-            retire(inboxes, scratch, prev_active[i]);
-            i += 1;
-        }
-        std::mem::swap(active, prev_active);
         engine.report.messages_sent += messages;
         engine.report.bits_sent += bits;
         engine.report.max_bits_per_round = engine.report.max_bits_per_round.max(bits);
@@ -1304,38 +1257,17 @@ impl<'g> Simulator<'g> {
 }
 
 /// The reusable execution state of one run: node states, double-buffered
-/// outgoing/inbox slot vectors (allocated once, cleared in place each
-/// round), the columnar message plane (payload slab, offset tables and
-/// the recycled-shell pool), the count of in-flight messages, and the
-/// accumulating [`RunReport`].
+/// outgoing/inbox slot vectors (allocated once, emptied in place each
+/// round), the list of inbox cells filled by the latest delivery, the
+/// count of in-flight messages, and the accumulating [`RunReport`].
 struct Engine<A> {
     nodes: Vec<A>,
     outgoing: Vec<Vec<Option<Message>>>,
     inboxes: Vec<Inbox>,
-    /// The per-round bit-packed payload slab: every in-flight payload,
-    /// concatenated in delivery order. Cleared (not freed) each round.
-    slab: BitString,
-    /// Slab offset per directed slot (`slot_base[u] + p`). Entries are
-    /// meaningful only for slots on the `active` list this round;
-    /// everything else is stale from an earlier round and never read.
-    slot_start: Vec<usize>,
-    /// Payload length per directed slot, post-corruption (a truncation
-    /// shortens this; the severed slab tail is masked off at scatter).
-    /// Same staleness contract as `slot_start`.
-    slot_bits: Vec<usize>,
-    /// The directed slots delivered this round, in pack order (which is
-    /// ascending slot order). Scatter and inbox retirement walk this
-    /// list instead of the full `2·|E|` slot plane, so a sparse round
-    /// costs O(delivered), not O(slots).
-    active: Vec<usize>,
-    /// Last round's `active` list (swapped each round). Scatter merges
-    /// the two sorted lists: a slot active in both rounds reuses its
-    /// inbox shell in place, a slot that went idle retires its shell to
-    /// `scratch`, a slot that woke up draws from `scratch`.
-    prev_active: Vec<usize>,
-    /// Retired message shells, so slots that flip from idle to active
-    /// refill from a pooled allocation instead of the allocator.
-    scratch: Vec<Message>,
+    /// The directed slots (`slot_base[u] + p`) whose inbox cells were
+    /// filled in the latest delivery, in delivery order. The next round
+    /// empties exactly these cells before it delivers.
+    delivered: Vec<usize>,
     /// Engine-side crash mirror, updated crash by crash in activation
     /// order (unlike the plan's view, which flips a whole round's
     /// crashes at once) so shared edges are decremented exactly once.
@@ -1566,8 +1498,10 @@ impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitString;
     use crate::telemetry::RoundProfiler;
     use qdc_graph::Graph;
+    use std::collections::HashSet;
 
     /// Echo once: leaf nodes send their id to every neighbor in round 0,
     /// then everyone terminates after hearing from all neighbors.
@@ -2120,6 +2054,94 @@ mod tests {
         for ((a, b), c) in batch.iter().zip(&traced).zip(stepper.nodes()) {
             assert_eq!(a.heard, b.heard);
             assert_eq!(a.heard, c.heard);
+        }
+    }
+
+    /// Node 0 of a 2-path sends to node 1 in two rounds of every three,
+    /// alternating a 16-bit (inline) and a 100-bit (spilled) payload by
+    /// round; node 1 logs the length of what each round's inbox held.
+    struct Schedule {
+        round: usize,
+        log: Vec<Option<usize>>,
+    }
+
+    impl Schedule {
+        /// The width node 0 queues in round `k` (0 = `on_start`), if any.
+        fn width(k: usize) -> Option<usize> {
+            (k % 3 != 2).then_some(if k.is_multiple_of(2) { 16 } else { 100 })
+        }
+
+        fn send(&self, info: &NodeInfo, out: &mut Outbox) {
+            if let (NodeId(0), Some(width)) = (info.id, Schedule::width(self.round)) {
+                out.send(
+                    0,
+                    Message::from_bits(BitString::from_bools(&vec![true; width])),
+                );
+            }
+        }
+    }
+
+    impl NodeAlgorithm for Schedule {
+        fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
+            self.send(info, out);
+        }
+        fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+            self.round += 1;
+            self.log.push(inbox.get(0).map(Message::bit_len));
+            self.send(info, out);
+        }
+        fn is_terminated(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn chaos_inbox_cells_expire_when_the_port_goes_idle_or_is_dropped() {
+        let g = Graph::path(2);
+        let cfg = CongestConfig::classical(128);
+        let make = |_: &NodeInfo| Schedule {
+            round: 0,
+            log: Vec::new(),
+        };
+        let chaos = ChaosConfig {
+            seed: 5,
+            drop_prob: 0.4,
+            ..ChaosConfig::fault_free(100)
+        };
+        for chaos in [ChaosConfig::fault_free(100), chaos] {
+            let mut stepper = if chaos.is_fault_free() {
+                Stepper::new(&g, cfg, make)
+            } else {
+                Stepper::with_chaos(&g, cfg, &chaos, make)
+            };
+            let dropped: Vec<u64> = (0..60).map(|_| stepper.step().dropped).collect();
+            let log = &stepper.nodes()[1].log;
+            // Round k delivers what node 0 queued in round k − 1, unless
+            // that one message was dropped in flight.
+            let expected: Vec<Option<usize>> = (1..=60)
+                .map(|k| Schedule::width(k - 1).filter(|_| dropped[k - 1] == 0))
+                .collect();
+            assert_eq!(log, &expected, "under {chaos:?}");
+            // Each expiry seen, as (width the cell held, whether node 0
+            // went idle rather than having its message dropped).
+            let mut expired = HashSet::new();
+            for k in 1..60 {
+                if let (Some(width), None) = (log[k - 1], log[k]) {
+                    expired.insert((width, Schedule::width(k).is_none()));
+                }
+            }
+            let want_drops = !chaos.is_fault_free();
+            for width in [16, 100] {
+                assert!(
+                    expired.contains(&(width, true)),
+                    "{width}-bit cell never went idle"
+                );
+                assert_eq!(
+                    expired.contains(&(width, false)),
+                    want_drops,
+                    "{width}-bit cell expiry by drop"
+                );
+            }
         }
     }
 

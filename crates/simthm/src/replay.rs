@@ -355,6 +355,106 @@ mod tests {
         }
     }
 
+    /// Payload widths on both sides of the inline/spilled boundary and
+    /// across later word boundaries.
+    const FOLD_WIDTHS: [usize; 6] = [1, 63, 64, 65, 130, 200];
+
+    /// Folds every received bit (with its port and the payload length)
+    /// into a running digest, then sends a digest-derived payload of a
+    /// digest-chosen width on each port, leaving about a quarter of the
+    /// ports idle each round. Any delivered bit that differs between two
+    /// engines shows up in the digests.
+    #[derive(Clone, Debug)]
+    struct BitFold {
+        digest: u64,
+        round: u64,
+    }
+
+    impl BitFold {
+        fn mix(&mut self, x: u64) {
+            self.digest = (self.digest ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+
+        fn send_all(&self, info: &NodeInfo, out: &mut Outbox) {
+            for p in 0..info.degree() {
+                let seed =
+                    self.digest ^ self.round ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                if seed.is_multiple_of(4) {
+                    continue;
+                }
+                let width = FOLD_WIDTHS[(seed >> 2) as usize % FOLD_WIDTHS.len()];
+                let bits: qdc_congest::BitString = (0..width)
+                    .map(|i| seed.rotate_left(i as u32) >> (i % 7) & 1 == 1)
+                    .collect();
+                out.send(p, Message::from_bits(bits));
+            }
+        }
+    }
+
+    impl NodeAlgorithm for BitFold {
+        fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox) {
+            self.send_all(info, out);
+        }
+        fn on_round(&mut self, info: &NodeInfo, inbox: &Inbox, out: &mut Outbox) {
+            self.round += 1;
+            for (port, msg) in inbox.iter() {
+                self.mix(port as u64);
+                self.mix(msg.bit_len() as u64);
+                let mut reader = msg.reader();
+                while let Some(bit) = reader.read_bit() {
+                    self.mix(u64::from(bit));
+                }
+            }
+            self.send_all(info, out);
+        }
+        fn is_terminated(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn chaos_spilled_payload_replay_stays_in_lockstep_with_the_stepper() {
+        use qdc_congest::Stepper;
+        use qdc_graph::NodeId;
+
+        let net = SimulationNetwork::build(6, 33);
+        let cfg = CongestConfig::quantum(200);
+        let rounds = net.horizon();
+        let make = |info: &NodeInfo| BitFold {
+            digest: info.id.0 as u64,
+            round: 0,
+        };
+        let chaos = ChaosConfig {
+            seed: 7,
+            drop_prob: 0.15,
+            crash_schedule: vec![(NodeId(9), 4)],
+            corrupt_prob: 0.25,
+            max_rounds_watchdog: rounds + 1,
+        };
+
+        let mut stepper = Stepper::with_chaos(net.graph(), cfg, &chaos, make);
+        let mut direct_dropped = 0u64;
+        for _ in 0..rounds {
+            direct_dropped += stepper.step().dropped;
+        }
+        let report = stepper.report();
+        assert!(report.bits_corrupted > 0, "corruption must actually fire");
+        assert_eq!(report.nodes_crashed, 1);
+
+        // The reference delivers through `FaultPlan::filter`, one
+        // materialised message at a time.
+        let replay = three_party_replay_chaos(&net, cfg, make, rounds, &chaos);
+        assert!(replay.messages_dropped > 0, "drops must actually fire");
+        assert_eq!(replay.messages_dropped, direct_dropped);
+        for v in net.graph().nodes() {
+            assert_eq!(
+                stepper.nodes()[v.index()].digest,
+                replay.nodes[v.index()].digest,
+                "node {v} folded different bits under fault injection"
+            );
+        }
+    }
+
     #[test]
     fn fault_free_wrapper_reports_zero_drops() {
         let net = SimulationNetwork::build(3, 9);
