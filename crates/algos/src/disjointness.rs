@@ -18,7 +18,7 @@ use crate::ledger::Ledger;
 use crate::widths::bits_for;
 use qdc_congest::{
     BitString, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, NullTelemetry, Outbox,
-    RunOptions, RunReport, Simulator, Telemetry,
+    RunReport, Simulator, Telemetry,
 };
 use qdc_graph::Graph;
 use rand::{Rng, SeedableRng};
@@ -130,15 +130,13 @@ pub fn classical_disjointness(
     d: usize,
     cfg: CongestConfig,
 ) -> DisjointnessRun {
-    let (run, _) =
-        classical_disjointness_observed(x, y, d, cfg, RunOptions::default(), &mut NullTelemetry);
+    let (run, _) = classical_disjointness_observed(x, y, d, cfg, &mut NullTelemetry);
     run
 }
 
-/// [`classical_disjointness`] with execution [`RunOptions`] and a
-/// [`Telemetry`] sink observing every round — the campaign-facing entry
-/// point. The outcome and the [`RunReport`] are bit-for-bit those of
-/// the plain run at any thread count.
+/// [`classical_disjointness`] with a [`Telemetry`] sink observing every
+/// round — the campaign-facing entry point. The outcome and the
+/// [`RunReport`] are bit-for-bit those of the plain run.
 ///
 /// # Panics
 ///
@@ -148,7 +146,6 @@ pub fn classical_disjointness_observed<T: Telemetry>(
     y: &[bool],
     d: usize,
     cfg: CongestConfig,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     assert_eq!(x.len(), y.len(), "inputs must have equal length");
@@ -161,7 +158,7 @@ pub fn classical_disjointness_observed<T: Telemetry>(
     chunks.reverse();
 
     let mut ledger = Ledger::new();
-    let sim = Simulator::with_options(&graph, cfg, options);
+    let sim = Simulator::new(&graph, cfg);
     let (nodes, report, _) = sim.run_traced_observed(
         |info| {
             let id = info.id.0 as usize;
@@ -271,8 +268,7 @@ pub fn quantum_disjointness<R: Rng + ?Sized>(
     cfg: CongestConfig,
     rng: &mut R,
 ) -> DisjointnessRun {
-    let (run, _) =
-        quantum_disjointness_observed(x, y, d, cfg, rng, RunOptions::default(), &mut NullTelemetry);
+    let (run, _) = quantum_disjointness_observed(x, y, d, cfg, rng, &mut NullTelemetry);
     run
 }
 
@@ -286,17 +282,15 @@ pub fn quantum_disjointness_seeded<T: Telemetry>(
     d: usize,
     cfg: CongestConfig,
     seed: u64,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    quantum_disjointness_observed(x, y, d, cfg, &mut rng, options, telemetry)
+    quantum_disjointness_observed(x, y, d, cfg, &mut rng, telemetry)
 }
 
-/// [`quantum_disjointness`] with execution [`RunOptions`] and a
-/// [`Telemetry`] sink observing every query round trip. The outcome and
-/// the [`RunReport`] are bit-for-bit those of the plain run at any
-/// thread count.
+/// [`quantum_disjointness`] with a [`Telemetry`] sink observing every
+/// query round trip. The outcome and the [`RunReport`] are bit-for-bit
+/// those of the plain run.
 ///
 /// # Panics
 ///
@@ -308,7 +302,6 @@ pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
     d: usize,
     cfg: CongestConfig,
     rng: &mut R,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     assert_eq!(x.len(), y.len(), "inputs must have equal length");
@@ -333,7 +326,7 @@ pub fn quantum_disjointness_observed<R: Rng + ?Sized, T: Telemetry>(
 
     let graph = Graph::path(d + 1);
     let mut ledger = Ledger::new();
-    let sim = Simulator::with_options(&graph, cfg, options);
+    let sim = Simulator::new(&graph, cfg);
     let (_, report, _) = sim.run_traced_observed(
         |info| {
             let id = info.id.0 as usize;

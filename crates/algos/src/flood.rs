@@ -377,31 +377,8 @@ pub fn robust_broadcast_observed<T: Telemetry>(
     give_up: usize,
     telemetry: &mut T,
 ) -> Result<RobustBroadcastOutcome, SimError> {
-    robust_broadcast_with(
-        graph,
-        cfg,
-        RunOptions::default(),
-        root,
-        chaos,
-        give_up,
-        telemetry,
-    )
-}
-
-/// [`robust_broadcast_observed`] with explicit simulator [`RunOptions`]
-/// (worker threads for the engine's compute phase). Thread count never
-/// changes the outcome, the report, or the telemetry stream.
-pub fn robust_broadcast_with<T: Telemetry>(
-    graph: &Graph,
-    cfg: CongestConfig,
-    options: RunOptions,
-    root: NodeId,
-    chaos: &ChaosConfig,
-    give_up: usize,
-    telemetry: &mut T,
-) -> Result<RobustBroadcastOutcome, SimError> {
     assert!(cfg.bandwidth_bits >= 2, "robust flood needs B >= 2");
-    let sim = Simulator::with_options(graph, cfg, options);
+    let sim = Simulator::new(graph, cfg);
     let (nodes, report) = sim.try_run_observed(
         |info| RobustFlood {
             informed: info.id == root,
@@ -417,6 +394,22 @@ pub fn robust_broadcast_with<T: Telemetry>(
         informed: nodes.into_iter().map(|s| s.informed).collect(),
         report,
     })
+}
+
+/// Forwards to [`robust_broadcast_observed`]. Kept only so the frozen
+/// `perfbench` benchmark, its one caller, builds unmodified; delete it
+/// at the next benchmark change.
+#[doc(hidden)]
+pub fn robust_broadcast_with<T: Telemetry>(
+    graph: &Graph,
+    cfg: CongestConfig,
+    _: RunOptions,
+    root: NodeId,
+    chaos: &ChaosConfig,
+    give_up: usize,
+    telemetry: &mut T,
+) -> Result<RobustBroadcastOutcome, SimError> {
+    robust_broadcast_observed(graph, cfg, root, chaos, give_up, telemetry)
 }
 
 #[cfg(test)]

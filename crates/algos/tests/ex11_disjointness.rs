@@ -11,7 +11,7 @@ use qdc_algos::disjointness::{
     classical_disjointness, classical_rounds, quantum_disjointness, quantum_disjointness_seeded,
     quantum_rounds,
 };
-use qdc_congest::{CongestConfig, NullTelemetry, RunOptions};
+use qdc_congest::{CongestConfig, NullTelemetry};
 use qdc_graph::generate;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -91,7 +91,6 @@ fn ex11_seeded_entry_point_is_reproducible() {
             4,
             CongestConfig::quantum(16),
             seed,
-            RunOptions::default(),
             &mut NullTelemetry,
         );
         (run.disjoint, run.ledger.rounds, report.bits_sent)

@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_algos::{flood, Ledger};
-use qdc_congest::{BitString, CongestConfig, RunOptions, Simulator};
+use qdc_congest::{BitString, CongestConfig, Simulator};
 use qdc_graph::{generate, Graph};
 use qdc_simthm::{SimThmPoint, SimulationNetwork};
 use std::hint::black_box;
@@ -162,12 +162,10 @@ fn bench_slab_delivery(c: &mut Criterion) {
     }
     let graph = Graph::complete(128);
     let cfg = CongestConfig::classical(32);
-    for &threads in &[1usize, 4] {
-        let sim = Simulator::with_options(&graph, cfg, RunOptions { threads });
-        g.bench_function(format!("rebroadcast/complete128/t{threads}"), |b| {
-            b.iter(|| sim.run(|_| Rebroadcast { rounds_left: 16 }, black_box(64)))
-        });
-    }
+    let sim = Simulator::new(&graph, cfg);
+    g.bench_function("rebroadcast/complete128", |b| {
+        b.iter(|| sim.run(|_| Rebroadcast { rounds_left: 16 }, black_box(64)))
+    });
     g.finish();
 }
 

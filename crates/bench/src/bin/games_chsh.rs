@@ -3,6 +3,7 @@
 //! Prints the CHSH game's exact classical bias (strategy enumeration) and
 //! entangled bias (state-vector simulation of the optimal measurement
 //! angles), plus a sweep of Bob's angle showing the Tsirelson optimum.
+//! Panics if the biases or the sweep's argmax differ from the theory.
 
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_quantum::games::{chsh_optimal_strategy, EntangledXorStrategy, XorGame};
@@ -10,20 +11,25 @@ use qdc_quantum::protocols::epr_pair;
 
 fn main() {
     let game = XorGame::chsh();
+    let classical = game.classical_bias();
+    let entangled = game.entangled_bias(&chsh_optimal_strategy());
     println!("=== CHSH: the canonical XOR game ===\n");
-    println!(
-        "classical bias (exact enumeration): {}",
-        fmt_f(game.classical_bias())
-    );
+    println!("classical bias (exact enumeration): {}", fmt_f(classical));
     println!(
         "entangled bias (optimal strategy):  {}  (Tsirelson √2/2 = {})\n",
-        fmt_f(game.entangled_bias(&chsh_optimal_strategy())),
+        fmt_f(entangled),
         fmt_f(std::f64::consts::FRAC_1_SQRT_2)
+    );
+    assert!((classical - 0.5).abs() < 1e-9, "classical bias {classical}");
+    assert!(
+        (entangled - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-9,
+        "entangled bias {entangled}"
     );
 
     println!("=== angle sweep: Bob measures at ±θ, Alice at 0 / π/2 ===\n");
     let widths = [12, 14, 18];
     print_header(&["θ (rad)", "bias", "beats classical?"], &widths);
+    let mut best = (0, f64::MIN);
     for k in 0..=12 {
         let theta = k as f64 * std::f64::consts::FRAC_PI_2 / 12.0;
         let strategy = EntangledXorStrategy {
@@ -32,6 +38,9 @@ fn main() {
             bob_angles: vec![theta, -theta],
         };
         let bias = game.entangled_bias(&strategy);
+        if bias > best.1 {
+            best = (k, bias);
+        }
         print_row(
             &[
                 &fmt_f(theta),
@@ -41,6 +50,7 @@ fn main() {
             &widths,
         );
     }
+    assert_eq!(best.0, 6, "the sweep's maximum must sit at θ = π/4");
     println!("\nThe maximum sits at θ = π/4 with bias √2/2 ≈ 0.7071 — the entanglement");
     println!("advantage that Lemma 3.2 channels from Server-model protocols into games,");
     println!("making game-based bounds the right tool where fooling/rank arguments break.");

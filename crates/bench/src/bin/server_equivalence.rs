@@ -5,7 +5,7 @@
 //! David + a server copy) and why that simulation *fails* quantumly —
 //! the entire reason the Server model exists. This harness runs the
 //! classical simulation on concrete protocols and shows the costs match
-//! bit for bit.
+//! bit for bit, and panics on any row where they do not.
 
 use qdc_bench::{print_header, print_row};
 use qdc_cc::problems::{Equality, GapEquality, IpMod3, TwoPartyFunction};
@@ -43,6 +43,7 @@ fn check<F: TwoPartyFunction + Clone>(f: F, seed: u64, widths: &[usize]) {
         ],
         widths,
     );
+    assert!(agree && cost_equal, "{}: server ≢ two-party", f.name());
 }
 
 fn main() {

@@ -3,7 +3,8 @@
 //! Prints the §B.3 spectral certificate for `IPmod3` (strongly balanced
 //! `A_g`, `‖A_g‖ = 2√2`, the composed `Ω(n)` bound), the Gap-Eq fooling
 //! sets built from greedy Gilbert–Varshamov codes, and the Lemma 3.2
-//! abort-game statistics against the `4^{-2c}` closed form.
+//! abort-game statistics against the `4^{-2c}` closed form. Panics if
+//! `A_g` is not strongly balanced or `‖A_g‖` is not `2√2`.
 
 use qdc_bench::{fmt_f, print_header, print_row};
 use qdc_cc::codes::{greedy_random_code, gv_log2_size_bound};
@@ -17,12 +18,16 @@ use rand_chacha::ChaCha8Rng;
 fn main() {
     println!("=== §B.3: the gadget matrix A_g ===\n");
     let ag = ag_matrix();
-    println!("strongly balanced: {}", ag.is_strongly_balanced());
+    let balanced = ag.is_strongly_balanced();
+    let norm = ag.spectral_norm(300);
+    println!("strongly balanced: {balanced}");
     println!(
         "spectral norm ‖A_g‖ = {} (paper: 2√2 = {})",
-        fmt_f(ag.spectral_norm(300)),
+        fmt_f(norm),
         fmt_f(2.0 * 2f64.sqrt())
     );
+    assert!(balanced, "A_g must be strongly balanced");
+    assert!((norm - 2.0 * 2f64.sqrt()).abs() < 1e-6, "‖A_g‖ = {norm}");
     println!(
         "per-gadget bound factor log₂(√16/‖A_g‖) = {} bits\n",
         fmt_f(((16f64).sqrt() / ag.spectral_norm(300)).log2())

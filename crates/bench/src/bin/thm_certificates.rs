@@ -2,7 +2,8 @@
 //!
 //! Prints the fully-evaluated Theorem 3.6 and 3.8 derivations — Server
 //! hardness × simulation cost × parameter choice — at several scales,
-//! with every constant explicit.
+//! with every constant explicit. Panics unless the Theorem 3.6 bound
+//! grows with n and the measured constant c = 2 tightens it.
 
 use qdc_core::certificates::{theorem36_certificate, theorem38_certificate, CompositionConstants};
 
@@ -13,8 +14,12 @@ fn main() {
         consts.server_constant, consts.simulation_constant
     );
 
+    let mut prev = f64::MIN;
     for &n in &[1usize << 14, 1 << 18, 1 << 22] {
-        println!("{}", theorem36_certificate(n, 16, &consts).render());
+        let cert = theorem36_certificate(n, 16, &consts);
+        println!("{}", cert.render());
+        assert!(cert.rounds > prev, "Theorem 3.6 rounds must grow with n");
+        prev = cert.rounds;
     }
 
     println!("--- Theorem 3.8 across the W sweep (n = 2^18, α = 2) ---\n");
@@ -32,5 +37,10 @@ fn main() {
         ..Default::default()
     };
     println!("--- With the *measured* simulation constant c = 2 ---\n");
-    println!("{}", theorem36_certificate(1 << 18, 16, &tight).render());
+    let tightened = theorem36_certificate(1 << 18, 16, &tight);
+    println!("{}", tightened.render());
+    assert!(
+        tightened.rounds > theorem36_certificate(1 << 18, 16, &consts).rounds,
+        "c = 2 must tighten the bound"
+    );
 }

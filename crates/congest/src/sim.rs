@@ -212,30 +212,15 @@ impl CongestConfig {
     }
 }
 
-/// Execution options of a [`Simulator`], orthogonal to the CONGEST model
-/// parameters in [`CongestConfig`]: how the engine runs, never what it
-/// computes.
-///
-/// The compute phase (every node's `on_round`) shards across `threads`
-/// scoped workers with a fixed chunking by node index; delivery, chaos
-/// decisions and accounting always run on the calling thread in the
-/// engine's one deterministic order. The outcome — states, reports,
-/// traces, telemetry — is therefore **byte-identical at every thread
-/// count** (the same contract the campaign runner in `qdc-harness`
-/// keeps at the experiment level).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunOptions {
-    /// Worker threads for the node compute phase. `1` (the default)
-    /// steps every node inline; `0` is treated as `1`, and values above
-    /// the node count are clamped down.
-    pub threads: usize,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions { threads: 1 }
-    }
-}
+/// A fieldless stand-in for the engine options that used to pick a
+/// compute-phase thread count. The engine is single-threaded; only the
+/// frozen `perfbench` benchmark still names this type (through
+/// `qdc_harness::point::execute_point_sharded` and
+/// `qdc_algos::flood::robust_broadcast_with`). Delete it with those
+/// two shims at the next benchmark change.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunOptions;
 
 /// What a node knows about itself and its surroundings — exactly the
 /// paper's "limited topological knowledge": its own id, `n`, and the ids
@@ -520,12 +505,7 @@ impl Outbox {
 /// "always terminated" but keep forwarding improvements — the run ends
 /// exactly when the information flow dies down (the standard implicit-
 /// termination convention in synchronous models).
-///
-/// The `Send` supertrait lets the engine shard the compute phase across
-/// scoped worker threads ([`RunOptions::threads`]); node states are
-/// plain data moved between rounds, never shared, so any ordinary
-/// algorithm state satisfies it automatically.
-pub trait NodeAlgorithm: Send {
+pub trait NodeAlgorithm {
     /// Round-0 initialization; may send messages.
     fn on_start(&mut self, info: &NodeInfo, out: &mut Outbox);
 
@@ -646,7 +626,6 @@ pub struct TrafficTrace {
 pub struct Simulator<'g> {
     graph: &'g Graph,
     config: CongestConfig,
-    options: RunOptions,
     infos: Vec<NodeInfo>,
     /// `back_port[u][p]` is the port on which `u`'s neighbor over port
     /// `p` sees `u` — precomputed so delivery routes each message in
@@ -663,16 +642,8 @@ pub struct Simulator<'g> {
 }
 
 impl<'g> Simulator<'g> {
-    /// Prepares a simulator on `graph` with the given configuration and
-    /// default [`RunOptions`] (single-threaded compute).
+    /// Prepares a simulator on `graph` with the given configuration.
     pub fn new(graph: &'g Graph, config: CongestConfig) -> Self {
-        Simulator::with_options(graph, config, RunOptions::default())
-    }
-
-    /// Prepares a simulator on `graph` with explicit execution options.
-    /// Options never change outcomes — a run at any thread count is
-    /// byte-identical to the same run under [`new`](Simulator::new).
-    pub fn with_options(graph: &'g Graph, config: CongestConfig, options: RunOptions) -> Self {
         let n = graph.node_count();
         let infos: Vec<NodeInfo> = graph
             .nodes()
@@ -721,7 +692,6 @@ impl<'g> Simulator<'g> {
         Simulator {
             graph,
             config,
-            options,
             infos,
             back_port,
             slot_base,
@@ -737,11 +707,6 @@ impl<'g> Simulator<'g> {
     /// The configuration.
     pub fn config(&self) -> CongestConfig {
         self.config
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> RunOptions {
-        self.options
     }
 
     /// Per-node topology information (what node `v` is told at start).
@@ -1157,92 +1122,29 @@ impl<'g> Simulator<'g> {
 
         // Compute: every live node takes a step, writing into its
         // (emptied) outgoing slot vector. Crashed nodes are frozen: their
-        // `on_round` is never called again and they queue nothing. With
-        // `RunOptions { threads > 1 }` the nodes shard across scoped
-        // workers by fixed index chunks; the per-chunk folds join in
-        // chunk order, so the pending sum (commutative) and the first
-        // defect (chunk order = index order) match the sequential pass
-        // exactly, and a strict-mode panic resurfaces with its original
-        // payload.
+        // `on_round` is never called again and they queue nothing.
         engine.pending = 0;
-        let threads = self.options.threads.max(1).min(engine.nodes.len().max(1));
-        if threads == 1 {
-            for (i, node) in engine.nodes.iter_mut().enumerate() {
-                if engine
-                    .plan
-                    .as_ref()
-                    .is_some_and(|p| p.is_crashed(self.infos[i].id))
-                {
-                    continue;
-                }
-                let slots = std::mem::take(&mut engine.outgoing[i]);
-                let mut out = Outbox::reuse(
-                    slots,
-                    self.config.bandwidth_bits,
-                    self.config.charge_factor(),
-                    engine.strict,
-                );
-                node.on_round(&self.infos[i], &engine.inboxes[i], &mut out);
-                engine.pending += out.queued;
-                if engine.defect.is_none() {
-                    engine.defect = out.defect;
-                }
-                engine.outgoing[i] = out.take();
+        for (i, node) in engine.nodes.iter_mut().enumerate() {
+            if engine
+                .plan
+                .as_ref()
+                .is_some_and(|p| p.is_crashed(self.infos[i].id))
+            {
+                continue;
             }
-        } else {
-            let chunk = engine.nodes.len().div_ceil(threads);
-            let bandwidth = self.config.bandwidth_bits;
-            let charge = self.config.charge_factor();
-            let strict = engine.strict;
-            let plan = engine.plan.as_ref();
-            let inboxes = &engine.inboxes;
-            let infos = &self.infos;
-            let mut pending = 0usize;
-            let mut defect = None;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = engine
-                    .nodes
-                    .chunks_mut(chunk)
-                    .zip(engine.outgoing.chunks_mut(chunk))
-                    .enumerate()
-                    .map(|(c, (nodes, outs))| {
-                        let base = c * chunk;
-                        scope.spawn(move || {
-                            let mut queued = 0usize;
-                            let mut defect = None;
-                            for (k, (node, slot_vec)) in
-                                nodes.iter_mut().zip(outs.iter_mut()).enumerate()
-                            {
-                                let i = base + k;
-                                if plan.is_some_and(|p| p.is_crashed(infos[i].id)) {
-                                    continue;
-                                }
-                                let slots = std::mem::take(slot_vec);
-                                let mut out = Outbox::reuse(slots, bandwidth, charge, strict);
-                                node.on_round(&infos[i], &inboxes[i], &mut out);
-                                queued += out.queued;
-                                if defect.is_none() {
-                                    defect = out.defect;
-                                }
-                                *slot_vec = out.take();
-                            }
-                            (queued, defect)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (queued, chunk_defect) =
-                        h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-                    pending += queued;
-                    if defect.is_none() {
-                        defect = chunk_defect;
-                    }
-                }
-            });
-            engine.pending = pending;
+            let slots = std::mem::take(&mut engine.outgoing[i]);
+            let mut out = Outbox::reuse(
+                slots,
+                self.config.bandwidth_bits,
+                self.config.charge_factor(),
+                engine.strict,
+            );
+            node.on_round(&self.infos[i], &engine.inboxes[i], &mut out);
+            engine.pending += out.queued;
             if engine.defect.is_none() {
-                engine.defect = defect;
+                engine.defect = out.defect;
             }
+            engine.outgoing[i] = out.take();
         }
         if T::ENABLED {
             telemetry.on_round_end(round, engine.is_quiescent(), engine.live_slots);
@@ -1397,31 +1299,6 @@ impl<'g, A: NodeAlgorithm> Stepper<'g, A> {
         let sim = Simulator::new(graph, config);
         let plan = FaultPlan::new(chaos, graph.node_count());
         let engine = sim.engine_start(init, Some(plan), true);
-        Stepper { sim, engine }
-    }
-
-    /// A stepper with explicit [`RunOptions`] and optional fault
-    /// injection — the fully general constructor behind
-    /// [`new`](Stepper::new) and [`with_chaos`](Stepper::with_chaos).
-    /// Options never change outcomes: a stepped run at any thread count
-    /// matches the single-threaded one round for round, byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chaos` is `Some` and fails [`ChaosConfig::validate`].
-    pub fn with_options<F: FnMut(&NodeInfo) -> A>(
-        graph: &'g Graph,
-        config: CongestConfig,
-        options: RunOptions,
-        chaos: Option<&ChaosConfig>,
-        init: F,
-    ) -> Self {
-        let sim = Simulator::with_options(graph, config, options);
-        let plan = chaos.map(|chaos| {
-            chaos.validate().unwrap_or_else(|e| panic!("{e}"));
-            FaultPlan::new(chaos, graph.node_count())
-        });
-        let engine = sim.engine_start(init, plan, true);
         Stepper { sim, engine }
     }
 

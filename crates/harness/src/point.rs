@@ -22,7 +22,7 @@ use qdc_algos::disjointness::{
     classical_disjointness_observed, classical_rounds, quantum_disjointness_seeded, quantum_rounds,
     DisjointnessRun,
 };
-use qdc_algos::flood::{chaos_round_budget, robust_broadcast_with};
+use qdc_algos::flood::{chaos_round_budget, robust_broadcast_observed};
 use qdc_algos::verify::verify_hamiltonian_cycle;
 use qdc_congest::{
     ChaosConfig, CongestConfig, NullTelemetry, RoundProfiler, RunMetrics, RunOptions, RunReport,
@@ -49,13 +49,12 @@ fn run_ex11<T: Telemetry>(
     d: usize,
     cfg: CongestConfig,
     quantum: bool,
-    options: RunOptions,
     telemetry: &mut T,
 ) -> (DisjointnessRun, RunReport) {
     if quantum {
-        quantum_disjointness_seeded(x, y, d, cfg, EX11_PROTOCOL_SEED, options, telemetry)
+        quantum_disjointness_seeded(x, y, d, cfg, EX11_PROTOCOL_SEED, telemetry)
     } else {
-        classical_disjointness_observed(x, y, d, cfg, options, telemetry)
+        classical_disjointness_observed(x, y, d, cfg, telemetry)
     }
 }
 
@@ -305,28 +304,21 @@ pub fn execute_point(
     index: usize,
     spec: &PointSpec,
 ) -> Result<(PointRecord, Option<TrafficTrace>), PointFailure> {
-    let (record, trace, _) = execute_point_impl(
-        index,
-        spec,
-        &TelemetryMode::Off,
-        RunOptions::default(),
-        true,
-    )?;
+    let (record, trace, _) = execute_point_impl(index, spec, &TelemetryMode::Off, true)?;
     Ok((record, trace))
 }
 
-/// [`execute_point`] with explicit simulator [`RunOptions`] and a
-/// [`TelemetryMode`] — the runner's entry point when the campaign asks
-/// for sharded round execution (`--sim-threads`). The record, trace and
-/// telemetry (buffered or streamed) are byte-identical at every thread
-/// count.
+/// Forwards to `execute_point_impl` with the trace kept. Kept only so
+/// the frozen `perfbench` benchmark, its one caller, builds unmodified;
+/// delete it at the next benchmark change.
+#[doc(hidden)]
 pub fn execute_point_sharded(
     index: usize,
     spec: &PointSpec,
     telemetry: &TelemetryMode,
-    options: RunOptions,
+    _: RunOptions,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(index, spec, telemetry, options, true)
+    execute_point_impl(index, spec, telemetry, true)
 }
 
 /// [`execute_point`] with a [`RoundProfiler`] observing the run.
@@ -344,13 +336,7 @@ pub fn execute_point_with_telemetry(
     index: usize,
     spec: &PointSpec,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
-    execute_point_impl(
-        index,
-        spec,
-        &TelemetryMode::Exact,
-        RunOptions::default(),
-        true,
-    )
+    execute_point_impl(index, spec, &TelemetryMode::Exact, true)
 }
 
 /// The shared body of the `execute_point*` entry points. `keep_trace`
@@ -363,7 +349,6 @@ pub(crate) fn execute_point_impl(
     index: usize,
     spec: &PointSpec,
     telemetry_mode: &TelemetryMode,
-    options: RunOptions,
     keep_trace: bool,
 ) -> Result<(PointRecord, Option<TrafficTrace>, Option<TelemetryReport>), PointFailure> {
     let start = std::time::Instant::now();
@@ -371,13 +356,12 @@ pub(crate) fn execute_point_impl(
         PointSpec::SimThm(p) => {
             let (out, telemetry) = match telemetry_mode {
                 TelemetryMode::Off => {
-                    let (out, _) =
-                        run_point_sink_with(p, options, keep_trace, |_, _, _| NullTelemetry);
+                    let (out, _) = run_point_sink_with(p, keep_trace, |_, _, _| NullTelemetry);
                     (out, None)
                 }
                 TelemetryMode::Exact => {
                     let (out, profiler) =
-                        run_point_sink_with(p, options, keep_trace, |nodes, edges, classes| {
+                        run_point_sink_with(p, keep_trace, |nodes, edges, classes| {
                             RoundProfiler::new(nodes, edges, p.bandwidth).with_classes(classes)
                         });
                     (out, Some(profiler.finish()))
@@ -385,7 +369,7 @@ pub(crate) fn execute_point_impl(
                 TelemetryMode::Stream(scfg) => {
                     let (stage, file) = StreamStage::begin(index, scfg)?;
                     let (out, sink) =
-                        run_point_sink_with(p, options, keep_trace, |nodes, edges, classes| {
+                        run_point_sink_with(p, keep_trace, |nodes, edges, classes| {
                             StreamSink::new(file, nodes, edges, p.bandwidth, scfg.top_k)
                                 .with_classes(classes)
                                 .with_wall(scfg.with_wall)
@@ -443,10 +427,9 @@ pub(crate) fn execute_point_impl(
             let cfg = CongestConfig::classical(*bandwidth);
             let (result, telemetry) = match telemetry_mode {
                 TelemetryMode::Off => (
-                    robust_broadcast_with(
+                    robust_broadcast_observed(
                         &graph,
                         cfg,
-                        options,
                         NodeId(0),
                         &chaos,
                         give_up,
@@ -457,10 +440,9 @@ pub(crate) fn execute_point_impl(
                 TelemetryMode::Exact => {
                     let mut profiler =
                         RoundProfiler::new(graph.node_count(), graph.edge_count(), *bandwidth);
-                    let result = robust_broadcast_with(
+                    let result = robust_broadcast_observed(
                         &graph,
                         cfg,
-                        options,
                         NodeId(0),
                         &chaos,
                         give_up,
@@ -478,10 +460,9 @@ pub(crate) fn execute_point_impl(
                         scfg.top_k,
                     )
                     .with_wall(scfg.with_wall);
-                    let result = robust_broadcast_with(
+                    let result = robust_broadcast_observed(
                         &graph,
                         cfg,
-                        options,
                         NodeId(0),
                         &chaos,
                         give_up,
@@ -582,15 +563,7 @@ pub(crate) fn execute_point_impl(
             let (nodes, edges) = (*distance + 1, *distance);
             let ((run, report), telemetry) = match telemetry_mode {
                 TelemetryMode::Off => (
-                    run_ex11(
-                        &x,
-                        &y,
-                        *distance,
-                        cfg,
-                        *quantum,
-                        options,
-                        &mut NullTelemetry,
-                    ),
+                    run_ex11(&x, &y, *distance, cfg, *quantum, &mut NullTelemetry),
                     None,
                 ),
                 TelemetryMode::Exact => {
@@ -598,7 +571,7 @@ pub(crate) fn execute_point_impl(
                     if *quantum {
                         profiler = profiler.with_quantum(false);
                     }
-                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, options, &mut profiler);
+                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, &mut profiler);
                     (out, Some(profiler.finish()))
                 }
                 TelemetryMode::Stream(scfg) => {
@@ -608,7 +581,7 @@ pub(crate) fn execute_point_impl(
                     if *quantum {
                         sink = sink.with_quantum(false);
                     }
-                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, options, &mut sink);
+                    let out = run_ex11(&x, &y, *distance, cfg, *quantum, &mut sink);
                     stage.commit(index, sink)?;
                     (out, None)
                 }

@@ -84,11 +84,6 @@ pub struct RunOptions {
     /// committer has nothing to archive and the outcome's `telemetry`
     /// slots stay `None`).
     pub telemetry: TelemetryMode,
-    /// Worker thread count for each point's *round engine* (the
-    /// simulator's compute phase), as distinct from `threads`, which
-    /// shards whole points. Both levels carry the same byte-identical
-    /// determinism contract, so any combination is safe. Must be ≥ 1.
-    pub sim_threads: usize,
     /// Attempt budget per point (must be ≥ 1; the first try counts).
     /// Only *retryable* failures consume extra attempts — permanent
     /// protocol violations are committed after the first.
@@ -117,7 +112,6 @@ impl Default for RunOptions {
             threads: 1,
             keep_traces: false,
             telemetry: TelemetryMode::Off,
-            sim_threads: 1,
             max_attempts: 1,
             backoff_seed: 0,
             point_deadline_ms: None,
@@ -529,11 +523,10 @@ fn guarded_attempt(
     index: usize,
     point: &PointSpec,
     telemetry: &TelemetryMode,
-    sim: qdc_congest::RunOptions,
     keep_trace: bool,
 ) -> Result<Slot, PointFailure> {
     match catch_unwind(AssertUnwindSafe(|| {
-        execute_point_impl(index, point, telemetry, sim, keep_trace)
+        execute_point_impl(index, point, telemetry, keep_trace)
     })) {
         Ok(result) => result,
         Err(payload) => Err(PointFailure::from_panic(index, payload.as_ref())),
@@ -549,17 +542,14 @@ fn run_attempt(
     options: &RunOptions,
     keep_trace: bool,
 ) -> Result<Slot, PointFailure> {
-    let sim = qdc_congest::RunOptions {
-        threads: options.sim_threads,
-    };
     match options.point_deadline_ms {
-        None => guarded_attempt(index, point, &options.telemetry, sim, keep_trace),
+        None => guarded_attempt(index, point, &options.telemetry, keep_trace),
         Some(deadline_ms) => {
             let (tx, rx) = mpsc::channel();
             let point = point.clone();
             let telemetry = options.telemetry.clone();
             std::thread::spawn(move || {
-                let _ = tx.send(guarded_attempt(index, &point, &telemetry, sim, keep_trace));
+                let _ = tx.send(guarded_attempt(index, &point, &telemetry, keep_trace));
             });
             match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
                 Ok(result) => result,
@@ -705,7 +695,7 @@ where
 }
 
 fn validate_options(options: &RunOptions) -> Result<(), CampaignError> {
-    if options.threads == 0 || options.sim_threads == 0 {
+    if options.threads == 0 {
         return Err(CampaignError::ZeroThreads);
     }
     if options.max_attempts == 0 {

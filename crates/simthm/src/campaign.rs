@@ -20,8 +20,7 @@ use crate::network::SimulationNetwork;
 use crate::simulate::{OnlineAudit, ThreePartyAudit};
 use qdc_congest::{
     CongestConfig, Inbox, Message, NodeAlgorithm, NodeClass, NodeInfo, NullTelemetry, Outbox,
-    RoundProfiler, RunMetrics, RunOptions, RunReport, Simulator, Telemetry, TelemetryReport,
-    TrafficTrace,
+    RoundProfiler, RunMetrics, RunReport, Simulator, Telemetry, TelemetryReport, TrafficTrace,
 };
 use qdc_graph::generate;
 
@@ -124,15 +123,8 @@ impl NodeAlgorithm for ComponentFlood {
 /// preconditions). Campaign specs are validated before any point runs,
 /// so the harness never reaches this.
 pub fn run_point(point: &SimThmPoint) -> SimThmOutcome {
-    run_point_with(point, RunOptions::default())
-}
-
-/// [`run_point`] with explicit simulator [`RunOptions`] (worker threads
-/// for the engine's compute phase). Options never change outcomes — the
-/// result is byte-identical at every thread count.
-pub fn run_point_with(point: &SimThmPoint, options: RunOptions) -> SimThmOutcome {
     let net = build_network(point);
-    run_on(&net, point, options, true, &mut NullTelemetry)
+    run_on(&net, point, true, &mut NullTelemetry)
 }
 
 /// [`run_point`] with a [`RoundProfiler`] observing the run, classified
@@ -140,22 +132,13 @@ pub fn run_point_with(point: &SimThmPoint, options: RunOptions) -> SimThmOutcome
 /// the highway-vs-path traffic split of Figs. 8–10. Telemetry observes,
 /// never perturbs: the outcome is bit-for-bit that of [`run_point`].
 pub fn run_point_observed(point: &SimThmPoint) -> (SimThmOutcome, TelemetryReport) {
-    run_point_observed_with(point, RunOptions::default())
-}
-
-/// [`run_point_observed`] with explicit simulator [`RunOptions`]. The
-/// profile and outcome are byte-identical at every thread count.
-pub fn run_point_observed_with(
-    point: &SimThmPoint,
-    options: RunOptions,
-) -> (SimThmOutcome, TelemetryReport) {
-    let (outcome, profiler) = run_point_sink_with(point, options, true, |nodes, edges, classes| {
+    let (outcome, profiler) = run_point_sink_with(point, true, |nodes, edges, classes| {
         RoundProfiler::new(nodes, edges, point.bandwidth).with_classes(classes)
     });
     (outcome, profiler.finish())
 }
 
-/// The generic observed entry point behind [`run_point_observed_with`]:
+/// The generic observed entry point behind [`run_point_observed`]:
 /// realizes the point's network, asks `install` to build the sink from
 /// the realized shape (node count, edge count, [`highway_classes`]
 /// classification), runs observed, and hands the driven sink back.
@@ -171,7 +154,6 @@ pub fn run_point_observed_with(
 /// Every other field of the outcome is the same either way.
 pub fn run_point_sink_with<T, F>(
     point: &SimThmPoint,
-    options: RunOptions,
     keep_trace: bool,
     install: F,
 ) -> (SimThmOutcome, T)
@@ -185,7 +167,7 @@ where
         net.graph().edge_count(),
         highway_classes(&net),
     );
-    let outcome = run_on(&net, point, options, keep_trace, &mut sink);
+    let outcome = run_on(&net, point, keep_trace, &mut sink);
     (outcome, sink)
 }
 
@@ -221,11 +203,10 @@ fn build_network(point: &SimThmPoint) -> SimulationNetwork {
 fn run_on<T: Telemetry>(
     net: &SimulationNetwork,
     point: &SimThmPoint,
-    options: RunOptions,
     keep_trace: bool,
     telemetry: &mut T,
 ) -> SimThmOutcome {
-    let (report, audit, trace) = run_audited(net, point, options, keep_trace, telemetry);
+    let (report, audit, trace) = run_audited(net, point, keep_trace, telemetry);
     SimThmOutcome {
         metrics: report.metrics(),
         node_count: net.graph().node_count() as u64,
@@ -245,7 +226,6 @@ fn run_on<T: Telemetry>(
 fn run_audited<T: Telemetry>(
     net: &SimulationNetwork,
     point: &SimThmPoint,
-    options: RunOptions,
     keep_trace: bool,
     telemetry: &mut T,
 ) -> (RunReport, ThreePartyAudit, TrafficTrace) {
@@ -253,11 +233,7 @@ fn run_audited<T: Telemetry>(
     let (carol, david) = generate::hamiltonian_matching_pair(tracks);
     let m = net.embed_matchings(&carol, &david);
     let width = qdc_algos::widths::id_width(net.graph().node_count());
-    let sim = Simulator::with_options(
-        net.graph(),
-        CongestConfig::quantum(point.bandwidth),
-        options,
-    );
+    let sim = Simulator::new(net.graph(), CongestConfig::quantum(point.bandwidth));
     let init = |info: &NodeInfo| ComponentFlood {
         label: info.id.0 as u64,
         active_ports: info.incident_edges.iter().map(|&e| m.contains(e)).collect(),
@@ -290,9 +266,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// The audit folded per delivery equals the offline replay of the
-        /// run's trace on every field, at 1 and N engine threads, and
-        /// whether or not the trace is kept. Random Γ of both parities
-        /// exercises the odd-track bump.
+        /// run's trace on every field, whether or not the trace is kept.
+        /// Random Γ of both parities exercises the odd-track bump.
         #[test]
         fn simthm_online_audit_equals_offline_audit(
             gamma in 1usize..=24,
@@ -301,23 +276,14 @@ mod tests {
         ) {
             let point = SimThmPoint { gamma, l, bandwidth };
             let net = build_network(&point);
-            let mut first: Option<ThreePartyAudit> = None;
-            for threads in [1, 3] {
-                let options = RunOptions { threads };
-                let (report, online, trace) =
-                    run_audited(&net, &point, options, true, &mut NullTelemetry);
-                prop_assert_eq!(&online, &audit_trace(&net, &trace, bandwidth));
-                prop_assert_eq!(online.rounds, report.rounds);
-                let (untraced_report, untraced, empty) =
-                    run_audited(&net, &point, options, false, &mut NullTelemetry);
-                prop_assert_eq!(&untraced, &online);
-                prop_assert_eq!(untraced_report, report);
-                prop_assert!(empty.rounds.is_empty() && empty.dropped.is_empty());
-                if let Some(first) = &first {
-                    prop_assert_eq!(first, &online);
-                }
-                first = Some(online);
-            }
+            let (report, online, trace) = run_audited(&net, &point, true, &mut NullTelemetry);
+            prop_assert_eq!(&online, &audit_trace(&net, &trace, bandwidth));
+            prop_assert_eq!(online.rounds, report.rounds);
+            let (untraced_report, untraced, empty) =
+                run_audited(&net, &point, false, &mut NullTelemetry);
+            prop_assert_eq!(&untraced, &online);
+            prop_assert_eq!(untraced_report, report);
+            prop_assert!(empty.rounds.is_empty() && empty.dropped.is_empty());
         }
     }
 
@@ -366,10 +332,9 @@ mod tests {
         assert_eq!(plain.trace.rounds, observed.trace.rounds);
         // Dropping the trace changes neither the audit nor what the
         // sink sees.
-        let (untraced, profiler) =
-            run_point_sink_with(&p, RunOptions::default(), false, |nodes, edges, classes| {
-                RoundProfiler::new(nodes, edges, p.bandwidth).with_classes(classes)
-            });
+        let (untraced, profiler) = run_point_sink_with(&p, false, |nodes, edges, classes| {
+            RoundProfiler::new(nodes, edges, p.bandwidth).with_classes(classes)
+        });
         assert_eq!(profiler.finish().to_jsonl(false), telemetry.to_jsonl(false));
         assert!(untraced.trace.rounds.is_empty());
         assert_eq!(

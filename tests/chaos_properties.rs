@@ -18,8 +18,7 @@
 use proptest::prelude::*;
 use qdc::algos::flood::{chaos_round_budget, robust_broadcast};
 use qdc::congest::{
-    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RunOptions,
-    Simulator,
+    ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, Simulator,
 };
 use qdc::graph::{generate, Graph, NodeId};
 
@@ -100,20 +99,6 @@ proptest! {
             prop_assert_eq!(plain[v].label, fallible[v].label);
         }
 
-        // The sharded engine is covered by the same differential: both
-        // paths at 4 compute threads reproduce the 1-thread results bit
-        // for bit (delivery and chaos stay sequential; only `on_round`
-        // fans out).
-        let sharded = Simulator::with_options(&g, cfg, RunOptions { threads: 4 });
-        let (par, par_report) = sharded.run(make, 100);
-        let (par_fallible, par_fallible_report) =
-            sharded.try_run(make, &chaos).expect("fault-free run quiesces");
-        prop_assert_eq!(plain_report, par_report);
-        prop_assert_eq!(fallible_report, par_fallible_report);
-        for v in 0..g.node_count() {
-            prop_assert_eq!(plain[v].label, par[v].label);
-            prop_assert_eq!(fallible[v].label, par_fallible[v].label);
-        }
     }
 
     /// Robustness: the hardened flood informs every non-crashed node at

@@ -151,7 +151,6 @@ fn golden_stream_archive() -> (String, StreamAggregate) {
             l: 9,
             bandwidth: 16,
         },
-        qdc::congest::RunOptions::default(),
         false,
         |nodes, edges, classes| {
             StreamSink::new(&mut buf, nodes, edges, 16, 8).with_classes(classes)
@@ -236,7 +235,6 @@ fn golden_quantum_telemetry() -> TelemetryReport {
         3,
         CongestConfig::quantum_teleport(16),
         11,
-        qdc::congest::RunOptions::default(),
         &mut profiler,
     );
     profiler.finish()
@@ -255,7 +253,6 @@ fn golden_quantum_stream_archive() -> (String, StreamAggregate) {
         3,
         CongestConfig::quantum_teleport(16),
         11,
-        qdc::congest::RunOptions::default(),
         &mut sink,
     );
     let agg = sink.finish().expect("in-memory write");

@@ -17,12 +17,10 @@
 //! fully deterministic.
 
 use proptest::prelude::*;
-use qdc::algos::flood::{
-    chaos_round_budget, robust_broadcast, robust_broadcast_observed, robust_broadcast_with,
-};
+use qdc::algos::flood::{chaos_round_budget, robust_broadcast, robust_broadcast_observed};
 use qdc::congest::{
     ChaosConfig, CongestConfig, Inbox, Message, NodeAlgorithm, NodeInfo, Outbox, RoundProfiler,
-    RunOptions, Simulator, TelemetryReport,
+    Simulator, TelemetryReport,
 };
 use qdc::graph::{generate, NodeId};
 
@@ -155,50 +153,6 @@ proptest! {
         prop_assert_eq!(back.to_jsonl(false), profile.to_jsonl(false));
     }
 
-    /// The sharded engine under chaos, observed: profiles produced at 1
-    /// and 4 compute threads serialize to the same bytes, and the
-    /// outcomes match — telemetry on or off, threads 1 or N, nothing
-    /// moves.
-    #[test]
-    fn telemetry_sharded_chaos_profile_is_byte_identical(
-        n in 4usize..16,
-        extra in 0usize..6,
-        seed in 0u64..100,
-        drop in 0.0f64..=0.2,
-    ) {
-        let g = generate::random_connected(n, n + extra, seed.wrapping_add(env_seed()));
-        let give_up = chaos_round_budget(n, drop);
-        let chaos = ChaosConfig {
-            seed: seed ^ env_seed().rotate_left(23),
-            drop_prob: drop,
-            crash_schedule: vec![(NodeId(n as u32 - 1), 3)],
-            corrupt_prob: 0.05,
-            max_rounds_watchdog: give_up + 5,
-        };
-        let cfg = CongestConfig::classical(8);
-        let mut seq_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let seq = robust_broadcast_with(
-            &g, cfg, RunOptions { threads: 1 }, NodeId(0), &chaos, give_up, &mut seq_prof,
-        );
-        let mut par_prof = RoundProfiler::new(g.node_count(), g.edge_count(), 8);
-        let par = robust_broadcast_with(
-            &g, cfg, RunOptions { threads: 4 }, NodeId(0), &chaos, give_up, &mut par_prof,
-        );
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.informed, b.informed);
-                prop_assert_eq!(a.report, b.report);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "thread count changed the outcome: {a:?} vs {b:?}"),
-        }
-        prop_assert_eq!(
-            seq_prof.finish().to_jsonl(false),
-            par_prof.finish().to_jsonl(false),
-            "profiles must serialize to the same bytes at every thread count"
-        );
-    }
-
     /// Histogram mass conservation (the PR's accounting bugfix): each
     /// round's utilisation buckets sum to that round's *live* capacity —
     /// 2·|E| minus both directed slots of every edge with a crashed
@@ -246,36 +200,5 @@ proptest! {
                 r.round
             );
         }
-    }
-}
-
-/// The Γ×L hard-instance networks go through the same 1-vs-N contract:
-/// the simulation-theorem adapter's outcome and profile are
-/// byte-identical whether the round engine runs sequentially or sharded.
-#[test]
-fn telemetry_simthm_gamma_l_is_thread_invariant() {
-    use qdc::simthm::campaign::{
-        run_point, run_point_observed, run_point_observed_with, run_point_with, SimThmPoint,
-    };
-    for (gamma, l) in [(3, 5), (5, 9)] {
-        let point = SimThmPoint {
-            gamma,
-            l,
-            bandwidth: 24,
-        };
-        let seq = run_point(&point);
-        let par = run_point_with(&point, RunOptions { threads: 4 });
-        assert_eq!(seq.metrics, par.metrics, "Γ={gamma} L={l}");
-        assert_eq!(seq.within_budget, par.within_budget);
-        assert_eq!(seq.paid_bits, par.paid_bits);
-        assert_eq!(seq.trace.rounds, par.trace.rounds);
-        let (obs_seq, prof_seq) = run_point_observed(&point);
-        let (obs_par, prof_par) = run_point_observed_with(&point, RunOptions { threads: 3 });
-        assert_eq!(obs_seq.metrics, obs_par.metrics);
-        assert_eq!(
-            prof_seq.to_jsonl(false),
-            prof_par.to_jsonl(false),
-            "Γ={gamma} L={l}: profile bytes must not depend on threads"
-        );
     }
 }

@@ -16,9 +16,9 @@
 //!    aggregates of unrelated runs, and merging an aggregate of zeroes
 //!    is the identity on every counter;
 //! 4. **Thread invariance**: a campaign run with streaming telemetry
-//!    writes byte-identical archives at `--threads`/`--sim-threads`
-//!    1 and 4, and those archives' footers match the totals of the
-//!    exact-mode profiles of the same campaign.
+//!    writes byte-identical archives at `--threads` 1 and 4, and those
+//!    archives' footers match the totals of the exact-mode profiles of
+//!    the same campaign.
 //!
 //! The CI chaos job re-runs these under several `QDC_CHAOS_SEED`
 //! values; each individual case stays fully deterministic.
@@ -343,10 +343,9 @@ fn stream_campaign_archives_are_byte_identical_across_thread_counts() {
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    let run = |dir: &std::path::Path, threads: usize, sim_threads: usize| {
+    let run = |dir: &std::path::Path, threads: usize| {
         let options = RunOptions {
             threads,
-            sim_threads,
             telemetry: TelemetryMode::Stream(StreamTelemetry::new(
                 dir.to_string_lossy().into_owned(),
             )),
@@ -357,8 +356,8 @@ fn stream_campaign_archives_are_byte_identical_across_thread_counts() {
 
     let dir1 = dir_for("t1");
     let dir4 = dir_for("t4");
-    let one = run(&dir1, 1, 1);
-    let four = run(&dir4, 4, 4);
+    let one = run(&dir1, 1);
+    let four = run(&dir4, 4);
     assert_eq!(one.deterministic_jsonl(), four.deterministic_jsonl());
     // Stream mode keeps archives on disk, never in the outcome.
     assert!(one.telemetry.iter().all(Option::is_none));
